@@ -181,15 +181,12 @@ _SECURED_N500: Dict[str, Any] = {
     "total_posts": 200,
     "social_graph": "degree_bounded",
     "provisioning": "pooled",
-    "social_graph_stats": False,
 }
 
 #: Sparse large-N world for the shard throughput points: 10 km × 10 km,
 #: degree-bounded follow graph, lazy identities and no encryption
 #: requirement so world build stays O(N); 300 s medium ticks keep the
-#: per-point cost in sweep work rather than tick count.  Social-graph
-#: stats are off — they are post-run analysis and would dominate the
-#: point's wall time without touching the quantity under test.
+#: per-point cost in sweep work rather than tick count.
 _SPARSE_N10K: Dict[str, Any] = {
     "num_users": 10000,
     "duration_days": 1,
@@ -199,7 +196,6 @@ _SPARSE_N10K: Dict[str, Any] = {
     "provisioning": "lazy",
     "require_encryption": False,
     "medium_tick_s": 300.0,
-    "social_graph_stats": False,
 }
 
 

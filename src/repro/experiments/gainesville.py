@@ -520,11 +520,6 @@ class GainesvilleStudy:
         )
 
     def _social_stats(self) -> Dict[str, float]:
-        # All-pairs BFS over the follow graph — O(N·E) post-run analysis
-        # that dominates wall-clock at large N.  Nothing downstream of the
-        # trace depends on it, so the config can turn it off wholesale.
-        if not self.config.social_graph_stats:
-            return {}
         graph = self.social_graph
         return {
             "density_directed": social_metrics.density_directed(graph),

@@ -65,14 +65,6 @@ class ScenarioConfig:
     #: per-user degree independent of N, opening large-N sweeps that the
     #: O(N²)-dense hub_and_cluster generator cannot reach.
     social_graph: str = "auto"
-    #: Compute the post-run social-graph summary metrics (density,
-    #: average shortest path, diameter, radius, transitivity).  These run
-    #: an all-pairs BFS over the follow graph — O(N·E) at study *end*,
-    #: which dominates wall-clock at large N while touching nothing the
-    #: simulation emits.  ``False`` skips them (``StudyResult.social_stats``
-    #: comes back empty); traces are identical either way.  The large-N
-    #: medium benchmarks turn this off.
-    social_graph_stats: bool = True
     #: Day-0 follow wiring: ``True`` batches each user's initial follow
     #: list through ``AlleyOopApp.follow_many`` — interest set updated
     #: once, one compact FOLLOW_MANY log record, one aggregated trace
@@ -102,9 +94,6 @@ class ScenarioConfig:
     #: author->subscriber contacts dominate, matching the study's 82.6%
     #: 1-hop share).
     meetups_per_day: float = 2.6
-    #: Probability a meetup grows to include a mutual friend (legacy knob,
-    #: superseded by meetup_group_size; kept for ablations).
-    meetup_group_prob: float = 0.4
     #: Gathering size range: the host invites this many friends (clipped
     #: to the host's friend count).  Gatherings covering most of a user's
     #: follower cluster are what make posted-at-gathering deliveries

@@ -10,11 +10,27 @@ Fig. 4a, with the same conventions:
   projection (the paper's center nodes 6 and 7 have radius 1),
 * **transitivity** — ``3 * triangles / connected triads`` on the
   undirected projection (the paper's T(G) = 0.80).
+
+The distance measures share one level-synchronous multi-source BFS
+(MS-BFS; Then et al., "The More the Merrier: Efficient Multi-Source Graph
+Traversal", PVLDB 2014) that runs all N breadth-first searches at once.
+Every node holds a Python-int bitset of the sources that have reached
+it.  One level sets a node's frontier to the OR of its neighbours'
+frontiers, minus the sources it has already seen.  Distances are
+symmetric, so the popcount of a node's frontier at level ``L`` is the
+number of nodes at distance ``L`` from it: the node's distance total
+grows by ``L`` times that, and its eccentricity is the last level at
+which it grew.  The cost is O(D·E·N/64) word operations for diameter D
+and E undirected edges, and about 3·N²/8 bytes of bitsets (seen,
+frontier and next frontier: ~37 MB at N=10k).  Transitivity counts
+triangles with popcounts of neighbour-bitset intersections, O(E·N/64).
+Totals are exact integers, so every ratio is the correctly rounded
+float of the exact rational.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List
+from typing import Dict, Hashable, List, Tuple
 
 from repro.social.digraph import SocialDigraph
 
@@ -37,9 +53,48 @@ def density_undirected(graph: SocialDigraph) -> float:
     return graph.undirected_edge_count() / (n * (n - 1) / 2.0)
 
 
-def _all_pairs_distances(graph: SocialDigraph) -> Dict[Node, Dict[Node, int]]:
+def _indexed_adjacency(graph: SocialDigraph) -> Tuple[List[Node], List[List[int]]]:
+    """The nodes in insertion order and, per node, the indices of its
+    neighbours in the undirected projection."""
     adj = graph.undirected_adjacency()
-    return {node: SocialDigraph.bfs_distances(adj, node) for node in adj}
+    index = {node: i for i, node in enumerate(adj)}
+    return list(adj), [[index[m] for m in neighbours] for neighbours in adj.values()]
+
+
+def _distance_profile(graph: SocialDigraph) -> Tuple[List[Node], List[int], List[int]]:
+    """Each node's undirected distance total and eccentricity, by MS-BFS.
+
+    Raises ``ValueError`` if the undirected projection is disconnected.
+    """
+    nodes, neighbours = _indexed_adjacency(graph)
+    n = len(nodes)
+    full = (1 << n) - 1
+    seen = [1 << i for i in range(n)]
+    frontier = list(seen)
+    totals = [0] * n
+    ecc = [0] * n
+    level = 0
+    while any(frontier):
+        level += 1
+        grown = [0] * n
+        for v in range(n):
+            known = seen[v]
+            if known == full:
+                continue
+            reach = 0
+            for u in neighbours[v]:
+                reach |= frontier[u]
+            reach &= ~known
+            if reach:
+                seen[v] = known | reach
+                totals[v] += level * reach.bit_count()
+                ecc[v] = level
+                grown[v] = reach
+        frontier = grown
+    for node, known in zip(nodes, seen):
+        if known != full:
+            raise ValueError(f"graph disconnected at {node!r}")
+    return nodes, totals, ecc
 
 
 def average_shortest_path_length(graph: SocialDigraph) -> float:
@@ -51,29 +106,15 @@ def average_shortest_path_length(graph: SocialDigraph) -> float:
     n = graph.node_count
     if n < 2:
         return 0.0
-    distances = _all_pairs_distances(graph)
-    total = 0
-    count = 0
-    nodes = graph.nodes
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if b not in distances[a]:
-                raise ValueError(f"graph disconnected: no path {a!r} ~ {b!r}")
-            total += distances[a][b]
-            count += 1
-    return total / count
+    _, totals, _ = _distance_profile(graph)
+    # Every unordered pair is counted once from each end.
+    return (sum(totals) // 2) / (n * (n - 1) // 2)
 
 
 def eccentricities(graph: SocialDigraph) -> Dict[Node, int]:
     """Undirected eccentricity of each node: max distance to any other."""
-    distances = _all_pairs_distances(graph)
-    n = graph.node_count
-    out: Dict[Node, int] = {}
-    for node, dist in distances.items():
-        if len(dist) != n:
-            raise ValueError(f"graph disconnected at {node!r}")
-        out[node] = max(dist.values()) if n > 1 else 0
-    return out
+    nodes, _, ecc = _distance_profile(graph)
+    return dict(zip(nodes, ecc))
 
 
 def diameter(graph: SocialDigraph) -> int:
@@ -103,21 +144,17 @@ def transitivity_undirected(graph: SocialDigraph) -> float:
     Paper: T(G) = 0.80 — "the extent that a friend k of a friend j is
     also a friend of i".
     """
-    adj = graph.undirected_adjacency()
-    triangles = 0
-    triads = 0
-    for node, neighbours in adj.items():
-        d = len(neighbours)
-        triads += d * (d - 1) // 2
-        ordered = sorted(neighbours, key=repr)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                if b in adj[a]:
-                    triangles += 1
-    # Each triangle is counted once per corner = 3 times total.
+    _, neighbours = _indexed_adjacency(graph)
+    triads = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in neighbours)
     if triads == 0:
         return 0.0
-    return triangles / triads
+    bits = [sum(1 << u for u in nbrs) for nbrs in neighbours]
+    # At each node, every adjacent pair of its neighbours is counted from
+    # both ends, so ``corners // 2`` is 3 * triangles (one per corner).
+    corners = sum(
+        (bits[a] & mask).bit_count() for mask, nbrs in zip(bits, neighbours) for a in nbrs
+    )
+    return (corners // 2) / triads
 
 
 def reciprocity(graph: SocialDigraph) -> float:

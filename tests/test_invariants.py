@@ -5,14 +5,20 @@ pattern), runs it, and checks invariants that must hold for *any*
 configuration — the properties that make the middleware trustworthy rather
 than merely calibrated.
 
-Also holds the repo-wide determinism guard: the default study, run twice
+Also holds the repo-wide determinism guards: the default study, run twice
 in the same process with the same seed, must produce byte-identical
-traces. This is the runtime contract that ``repro lint`` enforces
-statically.
+traces, and the smoke study must reproduce its committed digest in fresh
+processes under different hash seeds. This is the runtime contract that
+``repro lint`` enforces statically.
 """
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -128,3 +134,37 @@ class TestDeterminism:
             payload = "\n".join(trace_lines(study.sim)).encode()
             digests.append(hashlib.sha256(payload).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_smoke_digest_is_independent_of_the_hash_seed(self):
+        """The committed smoke_default point, run in fresh processes under
+        PYTHONHASHSEED 0 and 12345 with no key cache, reproduces the
+        trace_sha256 recorded in BENCH_default.json: no set or dict order
+        that varies with the hash seed reaches the trace."""
+        repo = Path(__file__).resolve().parent.parent
+        baseline = json.loads((repo / "BENCH_default.json").read_text())
+        runs = [run for run in baseline["runs"] if run["name"] == "smoke_default"]
+        (expected,) = {run["trace_sha256"] for run in runs}
+        script = (
+            "import json, sys\n"
+            "from repro.bench.runner import run_point\n"
+            "print(run_point(json.loads(sys.argv[1]))[1])\n"
+        )
+        env = {key: value for key, value in os.environ.items() if key != "REPRO_KEY_CACHE"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (str(repo / "src"), env.get("PYTHONPATH")) if path
+        )
+        procs = {
+            seed: subprocess.Popen(
+                [sys.executable, "-c", script, json.dumps(runs[0]["config"])],
+                cwd=repo,
+                env=dict(env, PYTHONHASHSEED=seed),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("0", "12345")
+        }
+        for seed, proc in procs.items():
+            out, err = proc.communicate(timeout=600)
+            assert proc.returncode == 0, f"PYTHONHASHSEED={seed}: {err}"
+            assert out.strip() == expected, f"PYTHONHASHSEED={seed}"

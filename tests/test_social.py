@@ -2,6 +2,8 @@
 
 Every §VI-A statistic the paper publishes is asserted here, and our
 from-scratch metric implementations are cross-validated against networkx.
+The bit-parallel distance metrics are also held exactly equal to a
+per-source BFS oracle kept below.
 """
 
 import random
@@ -10,6 +12,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sim.randomness import RandomStreams
 from repro.social import (
     FIGURE_4A_EDGES,
     INITIAL_SUBSCRIPTIONS,
@@ -33,6 +36,126 @@ from repro.social import (
     transitivity_undirected,
 )
 from repro.social.metrics import degree_histogram, degree_summary
+
+
+# -- per-source BFS oracle -------------------------------------------------------
+# The straightforward implementations the multi-source BFS in
+# repro.social.metrics replaced: one BFS and one distance dict per source.
+
+
+def _oracle_distances(graph):
+    adj = graph.undirected_adjacency()
+    return {node: SocialDigraph.bfs_distances(adj, node) for node in adj}
+
+
+def oracle_average_shortest_path_length(graph):
+    n = graph.node_count
+    if n < 2:
+        return 0.0
+    distances = _oracle_distances(graph)
+    total = 0
+    count = 0
+    nodes = graph.nodes
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1 :]:
+            if b not in distances[a]:
+                raise ValueError(f"graph disconnected: no path {a!r} ~ {b!r}")
+            total += distances[a][b]
+            count += 1
+    return total / count
+
+
+def oracle_eccentricities(graph):
+    distances = _oracle_distances(graph)
+    n = graph.node_count
+    out = {}
+    for node, dist in distances.items():
+        if len(dist) != n:
+            raise ValueError(f"graph disconnected at {node!r}")
+        out[node] = max(dist.values()) if n > 1 else 0
+    return out
+
+
+def oracle_diameter(graph):
+    ecc = oracle_eccentricities(graph)
+    return max(ecc.values()) if ecc else 0
+
+
+def oracle_radius(graph):
+    ecc = oracle_eccentricities(graph)
+    return min(ecc.values()) if ecc else 0
+
+
+def oracle_center(graph):
+    ecc = oracle_eccentricities(graph)
+    if not ecc:
+        return []
+    r = min(ecc.values())
+    return sorted((node for node, e in ecc.items() if e == r), key=repr)
+
+
+def oracle_transitivity(graph):
+    adj = graph.undirected_adjacency()
+    triangles = 0
+    triads = 0
+    for neighbours in adj.values():
+        d = len(neighbours)
+        triads += d * (d - 1) // 2
+        ordered = sorted(neighbours, key=repr)
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1 :]:
+                if b in adj[a]:
+                    triangles += 1
+    if triads == 0:
+        return 0.0
+    return triangles / triads
+
+
+#: (metric under test, its oracle).
+ORACLE_PAIRS = [
+    (average_shortest_path_length, oracle_average_shortest_path_length),
+    (eccentricities, oracle_eccentricities),
+    (diameter, oracle_diameter),
+    (radius, oracle_radius),
+    (center, oracle_center),
+    (transitivity_undirected, oracle_transitivity),
+]
+
+#: Node-id families: the metrics take any hashable.
+NODE_IDS = {
+    "int": lambda i: i,
+    "str": lambda i: f"user-{i}",
+    "tuple": lambda i: ("u", i % 3, i),
+}
+
+
+def _outcome(metric, graph):
+    """The metric's value, or ``ValueError`` if it raised one."""
+    try:
+        return metric(graph)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def digraphs(draw, max_nodes=14):
+    """Small digraphs of any shape: empty, sparse, dense, disconnected, or
+    forced connected by a random spanning tree."""
+    n = draw(st.integers(0, max_nodes))
+    label = NODE_IDS[draw(st.sampled_from(sorted(NODE_IDS)))]
+    edges = []
+    if n >= 2:
+        ends = st.integers(0, n - 1)
+        edges += [
+            (a, b) for a, b in draw(st.lists(st.tuples(ends, ends), max_size=3 * n)) if a != b
+        ]
+        if draw(st.booleans()):
+            for i in range(1, n):
+                parent = draw(st.integers(0, i - 1))
+                edges.append((i, parent) if draw(st.booleans()) else (parent, i))
+    return SocialDigraph.from_edges(
+        [(label(a), label(b)) for a, b in edges], nodes=[label(i) for i in range(n)]
+    )
 
 
 class TestDigraphBasics:
@@ -135,6 +258,9 @@ class TestCrossValidationWithNetworkx:
         out = [figure_4a_graph()]
         for i in range(5):
             out.append(random_digraph(range(8 + i), density=0.4, rng=rng))
+        # The sparse large-N families, at a size with several BFS levels.
+        for kind in ("degree_bounded", "powerlaw_cluster"):
+            out.append(make_social_graph(kind, 250, random.Random(41)))
         return out
 
     def test_density(self, graphs):
@@ -180,24 +306,79 @@ class TestMetricsEdgeCases:
         assert density_directed(g) == 0.0
         assert transitivity_undirected(g) == 0.0
         assert reciprocity(g) == 0.0
+        assert average_shortest_path_length(g) == 0.0
+        assert eccentricities(g) == {}
+        assert (diameter(g), radius(g), center(g)) == (0, 0, [])
 
     def test_single_node(self):
         g = SocialDigraph()
         g.add_node("only")
         assert average_shortest_path_length(g) == 0.0
         assert degree_summary(g)["in_max"] == 0
+        assert eccentricities(g) == {"only": 0}
+        assert (diameter(g), radius(g), center(g)) == (0, 0, ["only"])
 
     def test_disconnected_raises_for_path_metrics(self):
-        g = SocialDigraph.from_edges([("a", "b")], nodes=["z"])
-        with pytest.raises(ValueError):
-            average_shortest_path_length(g)
-        with pytest.raises(ValueError):
-            diameter(g)
+        for g in (
+            SocialDigraph.from_edges([("a", "b")], nodes=["z"]),
+            SocialDigraph.from_edges([], nodes=["a", "b"]),
+        ):
+            for metric in (average_shortest_path_length, eccentricities, diameter, radius, center):
+                with pytest.raises(ValueError):
+                    metric(g)
+
+    def test_two_nodes(self):
+        g = SocialDigraph.from_edges([("b", "a")])
+        assert average_shortest_path_length(g) == 1.0
+        assert eccentricities(g) == {"a": 1, "b": 1}
+        assert (diameter(g), radius(g), center(g)) == (1, 1, ["a", "b"])
+
+    @pytest.mark.parametrize("label", sorted(NODE_IDS))
+    def test_path_metrics_on_any_hashable_ids(self, label):
+        """A path 0-1-2 and a triangle 2-3-4: the same numbers whatever
+        the node ids are."""
+        ids = NODE_IDS[label]
+        edges = [(0, 1), (2, 1), (2, 3), (3, 4), (4, 2)]
+        g = SocialDigraph.from_edges([(ids(a), ids(b)) for a, b in edges])
+        assert average_shortest_path_length(g) == 17 / 10
+        assert eccentricities(g) == {ids(0): 3, ids(1): 2, ids(2): 2, ids(3): 3, ids(4): 3}
+        assert (diameter(g), radius(g)) == (3, 2)
+        assert center(g) == sorted([ids(1), ids(2)], key=repr)
+        assert transitivity_undirected(g) == 3 / 6
 
     def test_density_undirected(self):
         g = SocialDigraph.from_edges([("a", "b"), ("b", "a"), ("b", "c")])
         # 2 undirected pairs of 3 possible
         assert density_undirected(g) == pytest.approx(2 / 3)
+
+
+class TestMultiSourceBfsOracle:
+    """The bit-parallel metrics equal the per-source BFS oracle exactly:
+    same floats, same dicts, and ``ValueError`` on the same graphs."""
+
+    @given(digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_to_per_source_bfs(self, graph):
+        for metric, oracle in ORACLE_PAIRS:
+            assert _outcome(metric, graph) == _outcome(oracle, graph), metric.__name__
+
+    def test_equal_on_figure_4a_and_sparse_families(self):
+        graphs = [figure_4a_graph(), figure_4a_graph(include_late_follows=False)]
+        for kind in ("hub_and_cluster", "degree_bounded", "powerlaw_cluster"):
+            graphs.append(make_social_graph(kind, 120, random.Random(9)))
+        for graph in graphs:
+            for metric, oracle in ORACLE_PAIRS:
+                assert _outcome(metric, graph) == _outcome(oracle, graph), metric.__name__
+
+    def test_graph_stats_n1000_pinned(self):
+        """The follow graph of the N=1000 sparse study (seed 2017): the
+        stats the per-source BFS computed, pinned to the last bit."""
+        graph = make_social_graph("degree_bounded", 1000, RandomStreams(2017).get("social"))
+        assert density_directed(graph) == 0.012012012012012012
+        assert average_shortest_path_length(graph) == 2.7053113113113114
+        assert diameter(graph) == 4
+        assert radius(graph) == 3
+        assert transitivity_undirected(graph) == 0.01711074508284081
 
 
 class TestGenerators:
