@@ -23,7 +23,13 @@ from repro.crypto.drbg import RandomSource, SystemRandomSource
 from repro.crypto.hashes import constant_time_equal, hmac_sha256, sha256
 from repro.crypto.kdf import hkdf
 from repro.crypto.chacha import ChaCha20
-from repro.crypto.numbers import bytes_to_int, generate_prime, int_to_bytes, modinv
+from repro.crypto.numbers import (
+    PrimeSearchError,
+    bytes_to_int,
+    generate_prime,
+    int_to_bytes,
+    modinv,
+)
 
 # DER prefix of the DigestInfo structure for SHA-256 (RFC 8017 §9.2 note 1).
 _SHA256_DIGEST_INFO = bytes.fromhex("3031300d060960864801650304020105000420")
@@ -162,11 +168,11 @@ class RsaKeyPair:
 class KeyGenerationError(ValueError):
     """RSA key generation exhausted its retry budget.
 
-    With a healthy random source the retry paths (``p == q``, a modulus
-    one bit short, an exponent sharing a factor with phi) each trigger
-    with negligible probability, so hitting the budget means the
-    :class:`~repro.crypto.drbg.RandomSource` is broken or stuck — the
-    failure the bound exists to surface instead of spinning forever.
+    With a healthy random source the retry paths (``p == q``, a prime
+    search that exhausts its candidates, an exponent sharing a factor with
+    phi) each trigger with negligible probability, so hitting the budget
+    means the :class:`~repro.crypto.drbg.RandomSource` is broken or stuck
+    — the failure the bound exists to surface instead of spinning forever.
     """
 
 
@@ -200,13 +206,15 @@ def generate_keypair(
     rng = rng or SystemRandomSource()
     half = bits // 2
     for _ in range(max_attempts):
-        p = generate_prime(half, rng)
-        q = generate_prime(half, rng)
+        try:
+            p = generate_prime(half, rng)
+            q = generate_prime(half, rng)
+        except PrimeSearchError:
+            continue
         if p == q:
             continue
+        # Both primes have their top two bits set, so n has exactly ``bits`` bits.
         n = p * q
-        if n.bit_length() != bits:
-            continue
         phi = (p - 1) * (q - 1)
         try:
             d = modinv(exponent, phi)

@@ -2,7 +2,8 @@
 
 Every AlleyOop Social user holds an RSA key pair minted at sign-up (paper
 Fig. 2a).  In the reproduction that keygen is pure build-time cost —
-~0.2 s per user at the 1024-bit simulation key size — and after the
+75–95 ms of CPU per user (median over 100 keys, 2-vCPU VM) at the
+1024-bit simulation key size — and after the
 batched medium (PR 1) and the session-crypto layer (PR 2) it is what
 makes large-N secured sweeps intractable.  This module removes keygen
 from the world-construction hot path three ways, selected by the
@@ -65,8 +66,9 @@ PROVISIONING_MODES = ("eager", "pooled", "lazy")
 #: Environment variable naming a default on-disk key cache directory.
 KEY_CACHE_ENV = "REPRO_KEY_CACHE"
 
-#: On-disk key file magic/version line.
-_KEY_MAGIC = "SOSKEY1"
+#: On-disk key file magic/version line.  Bumped whenever key generation
+#: changes, so a warm cache cannot serve keys the generator no longer makes.
+_KEY_MAGIC = "SOSKEY2"
 
 
 def signup_drbg_seed(scenario_seed: int, index: int) -> int:

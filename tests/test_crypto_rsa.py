@@ -3,8 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import rsa
 from repro.crypto.drbg import HmacDrbg, RandomSource
-from repro.crypto.numbers import generate_prime, int_to_bytes, is_probable_prime
+from repro.crypto.numbers import int_to_bytes, is_probable_prime
 from repro.crypto.rsa import (
     KeyGenerationError,
     RsaPublicKey,
@@ -12,6 +13,7 @@ from repro.crypto.rsa import (
     hybrid_decrypt,
     hybrid_encrypt,
 )
+from repro.pki.provisioning import signup_drbg_seed
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,32 @@ class TestKeyGeneration:
         with pytest.raises(ValueError):
             generate_keypair(256)
 
+    def test_every_key_costs_two_prime_searches(self, monkeypatch):
+        """Primes with their top two bits set always multiply to a full
+        ``bits``-bit modulus, so no prime pair is thrown away for size."""
+        primes = []
+        real = rsa.generate_prime
+
+        def recording(bits, rng):
+            primes.append(real(bits, rng))
+            return primes[-1]
+
+        monkeypatch.setattr(rsa, "generate_prime", recording)
+        for seed in range(50):
+            primes.clear()
+            pair = generate_keypair(1024, rng=HmacDrbg.from_int(seed))
+            assert len(primes) == 2, f"seed {seed}"
+            assert all(p >> 510 == 0b11 for p in primes), f"seed {seed}"
+            assert pair.public.n.bit_length() == 1024
+
+    def test_pinned_key(self):
+        """The first study user's key: a change to key generation shows up
+        as an edit to this test."""
+        rng = HmacDrbg.from_int(signup_drbg_seed(2017, 0))
+        assert generate_keypair(1024, rng=rng).public.fingerprint() == (
+            "d5722a5ce5fdb8311e5992ea2fc2fb31079bac658d9b0622ad7eea165f45e3eb"
+        )
+
 
 class _StuckSource(RandomSource):
     """A degenerate source that replays the same bytes forever — the
@@ -73,12 +101,13 @@ class TestKeyGenRetryBound:
     @staticmethod
     def _stuck_pattern() -> bytes:
         # A pattern X (well below 2^250) whose 256-bit prime candidate
-        # (top bit forced, made odd) is prime: generate_prime returns it
-        # instantly, so every attempt yields p == q — while Miller-Rabin's
-        # witness draws (X itself, far below the prime) still terminate.
+        # (top two bits forced, made odd) is prime: generate_prime returns
+        # it instantly, so every attempt yields p == q — while
+        # Miller-Rabin's witness draws (X itself, far below the prime)
+        # still terminate.
         check_rng = HmacDrbg.from_int(123)
         x = 0xABCDEF01
-        while not is_probable_prime((1 << 255) | x | 1, rng=check_rng):
+        while not is_probable_prime((3 << 254) | x | 1, rng=check_rng):
             x += 2
         return int_to_bytes(x | 1, 32)
 
@@ -117,14 +146,22 @@ class TestKeyGenRetryBound:
         assert pair.public == generate_keypair(512, rng=HmacDrbg.from_int(2)).public
 
     def test_natural_retry_is_deterministic(self):
-        """Seed 5's first 512-bit prime pair is rejected, so this walks
-        the genuine retry path: it respects the attempt budget and both
-        retried runs land on the same key."""
+        """With exponent 3, seed 1's first 512-bit prime pair has 3
+        dividing phi and is rejected, so this walks the genuine retry
+        path: it respects the attempt budget and both retried runs land
+        on the same key."""
         with pytest.raises(KeyGenerationError):
-            generate_keypair(512, rng=HmacDrbg.from_int(5), max_attempts=1)
-        first = generate_keypair(512, rng=HmacDrbg.from_int(5))
-        again = generate_keypair(512, rng=HmacDrbg.from_int(5))
+            generate_keypair(512, rng=HmacDrbg.from_int(1), exponent=3, max_attempts=1)
+        first = generate_keypair(512, rng=HmacDrbg.from_int(1), exponent=3)
+        again = generate_keypair(512, rng=HmacDrbg.from_int(1), exponent=3)
         assert first.public == again.public
+        assert first.public.n.bit_length() == 512
+
+    def test_all_zero_source_raises_instead_of_spinning(self):
+        """Every candidate an all-zero source yields is the same composite;
+        the bounded prime search turns that into failed attempts."""
+        with pytest.raises(KeyGenerationError, match="after 2 attempts"):
+            generate_keypair(512, rng=_StuckSource(b"\x00"), max_attempts=2)
 
 
 class TestSignatures:

@@ -2,9 +2,14 @@
 sign-up, parallel prefetch, and the knobs that thread them through the
 experiment harness)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.alleyoop.cloud import CloudService
+from repro.bench.suites import scenario_config
+from repro.bench.traceid import trace_sha256
 from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
@@ -65,6 +70,22 @@ class TestKeypairPool:
         regenerated = cold.get(BITS, seed=9, index=0)
         assert cold.stats["generated"] == 1
         assert regenerated.private == original.private  # deterministic redo
+
+    def test_key_file_from_the_previous_generator_regenerates(self, tmp_path):
+        """A well-formed key under the previous format's magic came from a
+        generator that no longer makes it, so it is not served."""
+        KeypairPool(str(tmp_path)).get(BITS, seed=9, index=0)
+        (path,) = list(tmp_path.iterdir())
+        stale = generate_keypair(BITS, rng=HmacDrbg.from_int(12345)).private
+        path.write_text("\n".join(
+            str(value) for value in ("SOSKEY1", stale.n, stale.e, stale.d, stale.p, stale.q)
+        ) + "\n")
+        cold = KeypairPool(str(tmp_path))
+        regenerated = cold.get(BITS, seed=9, index=0)
+        assert cold.stats["generated"] == 1
+        assert cold.stats["disk_hits"] == 0
+        direct = generate_keypair(BITS, rng=HmacDrbg.from_int(signup_drbg_seed(9, 0)))
+        assert regenerated.private == direct.private
 
     def test_prefetch_counts_and_idempotence(self, tmp_path):
         pool = KeypairPool(str(tmp_path))
@@ -211,6 +232,29 @@ class TestStudyIntegration:
         assert any("|message|" in line for line in traces["eager"])
         assert materialized["eager"] == self.BASE["num_users"]
         assert materialized["lazy"] <= self.BASE["num_users"]
+
+    def test_trace_does_not_depend_on_key_bytes(self, tmp_path):
+        """Keys generated from other seeds, served from the disk cache as
+        the smoke_default users' keys, reproduce the committed trace sha:
+        no key byte reaches the trace, so a change to key generation
+        leaves every pinned digest in place."""
+        repo = Path(__file__).resolve().parent.parent
+        baseline = json.loads((repo / "BENCH_default.json").read_text())
+        runs = [run for run in baseline["runs"] if run["name"] == "smoke_default"]
+        (expected,) = {run["trace_sha256"] for run in runs}
+        config = scenario_config(
+            dict(runs[0]["config"], provisioning="pooled", key_cache_dir=str(tmp_path))
+        )
+        pool = KeypairPool(str(tmp_path))
+        for index in range(config.num_users):
+            rng = HmacDrbg.from_int(signup_drbg_seed(config.seed + 1, index))
+            pool._store(config.key_bits, config.seed, index,
+                        generate_keypair(config.key_bits, rng=rng))
+        study = GainesvilleStudy(config)
+        study.run()
+        assert study.keypair_pool.stats["disk_hits"] == config.num_users
+        assert study.keypair_pool.stats["generated"] == 0
+        assert trace_sha256(study.sim) == expected
 
     def test_pooled_study_reuses_disk_cache(self, tmp_path):
         config = ScenarioConfig(
