@@ -2,14 +2,15 @@
 
 The ROADMAP's north star is density sweeps with thousands of devices;
 ``Medium.tick`` is the hottest loop of every such run.  This bench pits
-the batched engine (one mobility pass, one spatial pair sweep, cached
+the batched tick (one mobility pass, one spatial pair sweep, cached
 radio resolution, per-pair next-check scheduling) against the per-device
-reference path — the seed algorithm — on a mixed-radio walking-speed
-world, and enforces two contracts:
+oracle ``PerDeviceMedium`` (``tests/medium_oracle.py``, the seed
+algorithm) on a mixed-radio walking-speed world, and enforces two
+contracts:
 
 * **throughput** — >= 3x device-ticks/second over the reference at
   N=2000 (reported for N in {100, 500, 2000}),
-* **equivalence** — byte-identical traces between the two engines, both
+* **equivalence** — byte-identical traces between the two media, both
   for the synthetic scale world and for the default 10-user field-study
   reconstruction at its fixed seed.
 
@@ -36,6 +37,7 @@ from repro.net.device import Device
 from repro.net.medium import Medium
 from repro.net.radio import BLUETOOTH, DEFAULT_RADIO_SET, INFRA_WIFI, P2P_WIFI
 from repro.sim.engine import Simulator
+from tests.medium_oracle import PerDeviceMedium
 
 TICK_S = 30.0
 #: Square metres per device — roughly 100 users/km^2, the "higher
@@ -48,7 +50,7 @@ def _build_world(n: int, batched: bool, seed: int = 9) -> Tuple[Simulator, Mediu
     pedestrians, three distinct radio sets (exercising asymmetric-radio
     pairs and the per-pair scheduling path)."""
     sim = Simulator(seed=seed)
-    medium = Medium(sim, tick_interval=TICK_S, batched=batched)
+    medium = (Medium if batched else PerDeviceMedium)(sim, tick_interval=TICK_S)
     side = (n * AREA_PER_DEVICE_M2) ** 0.5
     region = Region(0.0, 0.0, side, side)
     for i in range(n):
@@ -149,7 +151,7 @@ def test_bench_medium_scale_throughput(bench_recorder):
 
 @pytest.mark.parametrize("n,ticks", [(400, 40)])
 def test_bench_medium_scale_equivalence(n, ticks):
-    """Both engines must produce byte-identical traces on the scale world."""
+    """Both media must produce byte-identical traces on the scale world."""
     sim_batched, medium_batched, _ = _run_world(n, True, ticks)
     sim_reference, medium_reference, _ = _run_world(n, False, ticks)
     assert _trace_lines(sim_batched) == _trace_lines(sim_reference)
@@ -171,12 +173,14 @@ def test_bench_medium_scale_smoke():
     assert _trace_lines(sim_batched) == _trace_lines(sim_reference)
 
 
-def test_bench_medium_default_study_trace_identical(study, study_result):
+def test_bench_medium_default_study_trace_identical(study, study_result, monkeypatch):
     """The default 10-user field study must replay byte-identically under
-    the per-device reference engine (fixed seed, default tick interval)."""
-    assert study.config.medium_batched  # session fixture runs the new engine
-    reference = GainesvilleStudy(ScenarioConfig(medium_batched=False))
+    the per-device oracle (fixed seed, default tick interval)."""
+    assert type(study.medium) is Medium  # session fixture runs the batched tick
+    monkeypatch.setattr("repro.experiments.gainesville.Medium", PerDeviceMedium)
+    reference = GainesvilleStudy(ScenarioConfig())
     reference.run()
+    assert type(reference.medium) is PerDeviceMedium
     batched_lines = _trace_lines(study.sim)
     reference_lines = _trace_lines(reference.sim)
     assert batched_lines == reference_lines

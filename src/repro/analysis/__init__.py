@@ -6,9 +6,9 @@ trace-equivalence benchmarks.  This package enforces it *statically*, at
 review time, by scanning the tree for the hazard classes that have
 actually produced nondeterminism bugs here (unsorted link emission,
 bare ``except`` swallowing diagnostics, wall-clock leaking into
-sim-time code) plus the classes that sharded/multiprocess execution
-will make harder to debug after the fact (fork-unsafe workers,
-unseeded RNG streams).
+sim-time code) plus the classes that multiprocess execution makes
+harder to debug after the fact (fork-unsafe workers, unseeded RNG
+streams).
 
 Entry points
 ============

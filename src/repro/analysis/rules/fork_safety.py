@@ -2,20 +2,13 @@
 
 ``repro.sim.parallel`` promises bit-identical results between its
 forked and in-process fallbacks, which only holds when workers are pure
-functions of their inputs.  With the medium sharded across processes,
-workers that close over live simulation state are the bug class that
-gets strictly harder to debug after the fact — a forked child mutates a
-*copy* of the lock/file/Simulator/Medium and the divergence surfaces as
-a trace mismatch long after the fork.
+functions of their inputs.  Workers that close over live simulation
+state are the bug class that is hardest to debug after the fact — a
+forked child mutates a *copy* of the lock/file/Simulator/Medium and the
+divergence surfaces as a trace mismatch long after the fork.
 
-Three call shapes are checked — the one-shot map, the persistent shard
-pool's init function, and per-tick task dispatch:
-
-* ``parallel_map(worker, items, n)``
-* ``WorkerPool(init_fn, payloads)``
-* ``pool.dispatch(worker, tasks)`` (in modules that import the
-  ``repro.sim.parallel`` API — other ``dispatch`` methods are not ours
-  to police)
+The checked call shape is the one-shot map,
+``parallel_map(worker, items, n)``.
 
 ``fork-unsafe`` flags a worker argument that is:
 
@@ -30,9 +23,7 @@ pool's init function, and per-tick task dispatch:
   ``multiprocessing.Lock()``, a ``Simulator(...)`` or a ``Medium(...)``.
 
 A worker imported from another module passes here and is checked where
-it is defined (the sharded engine imports its shard-task functions by
-name from ``repro.net.medium_engines.shard_worker`` for exactly this
-reason).
+it is defined.
 """
 
 from __future__ import annotations
@@ -53,9 +44,8 @@ _LIVE_RESOURCE_CONSTRUCTORS = frozenset(
 class ForkSafetyRule(Rule):
     name = "fork-unsafe"
     description = (
-        "parallel_map / WorkerPool / dispatch workers must be module-level "
-        "pure functions, not closures over locks, files, Simulators, "
-        "Mediums, or module globals"
+        "parallel_map workers must be module-level pure functions, not "
+        "closures over locks, files, Simulators, Mediums, or module globals"
     )
     domains = frozenset({"sim"})
 
@@ -66,14 +56,6 @@ class ForkSafetyRule(Rule):
             for local, (origin, name) in froms.items()
             if name == "parallel_map" and origin.endswith("parallel")
         }
-        pool_names = {
-            local
-            for local, (origin, name) in froms.items()
-            if name == "WorkerPool" and origin.endswith("parallel")
-        }
-        # dispatch() is a generic method name; only police it in modules
-        # that actually use the repro.sim.parallel API.
-        check_dispatch = bool(map_names or pool_names)
         functions = astutil.collect_functions(module.tree)
         nested = {
             info.node.name for info in functions.values() if info.parent is not None
@@ -89,14 +71,9 @@ class ForkSafetyRule(Rule):
             if not isinstance(node, ast.Call):
                 continue
             is_worker_call = (
-                isinstance(node.func, ast.Name)
-                and node.func.id in (map_names | pool_names)
+                isinstance(node.func, ast.Name) and node.func.id in map_names
             ) or (
-                isinstance(node.func, ast.Attribute)
-                and (
-                    node.func.attr in ("parallel_map", "WorkerPool")
-                    or (check_dispatch and node.func.attr == "dispatch")
-                )
+                isinstance(node.func, ast.Attribute) and node.func.attr == "parallel_map"
             )
             if not is_worker_call or not node.args:
                 continue

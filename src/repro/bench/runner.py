@@ -46,14 +46,10 @@ def _domain_metrics(result) -> Dict[str, float]:
 def _medium_metrics(medium) -> Dict[str, float]:
     """Contact-tick cost, in units that survive a 1-core CI host.
 
-    ``medium_tick_cpu_s`` is parent-process CPU time inside the tick —
-    for the sharded engine that is the serialised section (merge +
-    link diff) which governs multi-core scaling, so
-    ``device_ticks_per_cpu_s`` is the tick-throughput figure the shard
-    benchmarks trend.
+    ``medium_tick_cpu_s`` is CPU time inside the tick, so
+    ``device_ticks_per_cpu_s`` is the tick-throughput figure.
     """
     out: Dict[str, float] = {
-        "medium_engine_shards": float(medium.shards),
         "medium_ticks": float(medium.tick_count),
         "medium_tick_cpu_s": round(medium.tick_cpu_s, 6),
     }

@@ -161,48 +161,7 @@ _SMOKE_RUNS: List[Dict[str, Any]] = [
             "provisioning": "pooled",
         },
     },
-    # Identical scenario to smoke_default but on the sharded engine:
-    # its trace_sha256 must equal smoke_default's in every artifact
-    # (benchmarks/test_bench_shard_scale.py asserts this), which puts the
-    # batched/sharded equivalence guarantee under the CI bench gate.
-    {
-        "name": "smoke_sharded",
-        "repetitions": 1,
-        "config": {"duration_days": 1, "total_posts": 40, "medium_shards": 2},
-    },
 ]
-
-#: Secured 500-user world for the sharded-engine equivalence points:
-#: full crypto stack on (the default require_encryption), sparse social
-#: graph so build and post-run analysis stay proportional to N.
-_SECURED_N500: Dict[str, Any] = {
-    "num_users": 500,
-    "duration_days": 1,
-    "total_posts": 200,
-    "social_graph": "degree_bounded",
-    "provisioning": "pooled",
-}
-
-#: Sparse large-N world for the shard throughput points: 10 km × 10 km,
-#: degree-bounded follow graph, lazy identities and no encryption
-#: requirement so world build stays O(N); 300 s medium ticks keep the
-#: per-point cost in sweep work rather than tick count.
-_SPARSE_N10K: Dict[str, Any] = {
-    "num_users": 10000,
-    "duration_days": 1,
-    "total_posts": 100,
-    "area": [10000.0, 10000.0],
-    "social_graph": "degree_bounded",
-    "provisioning": "lazy",
-    "require_encryption": False,
-    "medium_tick_s": 300.0,
-}
-
-
-def _with_shards(base: Dict[str, Any], shards: int) -> Dict[str, Any]:
-    out = dict(base)
-    out["medium_shards"] = shards
-    return out
 
 BUILTIN_SUITES: Dict[str, Dict[str, Any]] = {
     "smoke": {
@@ -217,42 +176,6 @@ BUILTIN_SUITES: Dict[str, Dict[str, Any]] = {
         "runs": _SMOKE_RUNS
         + [
             {"name": "default_study", "repetitions": 1, "config": {}},
-        ],
-    },
-    "shard_scale": {
-        "suite": "shard_scale",
-        "description": "sharded-engine equivalence (secured N=500, shards "
-        "0/1/2/4 — identical trace_sha256 expected) and tick throughput "
-        "(sparse N=10k, batched vs 2/4 shards; trend "
-        "device_ticks_per_cpu_s)",
-        "runs": [
-            {"name": "shard_equiv_n500_batched", "repetitions": 1, "config": _SECURED_N500},
-            {
-                "name": "shard_equiv_n500_shards1",
-                "repetitions": 1,
-                "config": _with_shards(_SECURED_N500, 1),
-            },
-            {
-                "name": "shard_equiv_n500_shards2",
-                "repetitions": 1,
-                "config": _with_shards(_SECURED_N500, 2),
-            },
-            {
-                "name": "shard_equiv_n500_shards4",
-                "repetitions": 1,
-                "config": _with_shards(_SECURED_N500, 4),
-            },
-            {"name": "shard_n10k_batched", "repetitions": 1, "config": _SPARSE_N10K},
-            {
-                "name": "shard_n10k_shards2",
-                "repetitions": 1,
-                "config": _with_shards(_SPARSE_N10K, 2),
-            },
-            {
-                "name": "shard_n10k_shards4",
-                "repetitions": 1,
-                "config": _with_shards(_SPARSE_N10K, 4),
-            },
         ],
     },
 }

@@ -83,23 +83,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "whose per-user degree stays constant as N grows",
     )
     parser.add_argument(
-        "--medium-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run contact detection on the sharded cross-process engine "
-        "with N worker processes (spatial bands + halo exchange; same "
-        "traces as the single-process engines); default: single-process",
-    )
-    parser.add_argument(
-        "--medium-halo",
-        type=float,
-        default=None,
-        metavar="M",
-        help="minimum sharded-engine ghost-zone width in metres (default: "
-        "the sweep radius; values below it have no effect)",
-    )
-    parser.add_argument(
         "--per-edge-bootstrap",
         action="store_true",
         help="wire day-0 follows one cloud round per edge (the reference "
@@ -144,10 +127,6 @@ def _config_from(args: argparse.Namespace) -> ScenarioConfig:
         kwargs["provisioning_workers"] = args.workers
     if args.social_graph is not None:
         kwargs["social_graph"] = args.social_graph
-    if args.medium_shards is not None:
-        kwargs["medium_shards"] = args.medium_shards
-    if args.medium_halo is not None:
-        kwargs["medium_halo_m"] = args.medium_halo
     if args.per_edge_bootstrap:
         kwargs["bulk_bootstrap"] = False
     if args.faults is not None:
@@ -205,8 +184,6 @@ def cmd_density(args: argparse.Namespace) -> int:
     sweep = DensitySweep(
         base_config=config,
         populations=populations,
-        medium_batched=not args.per_device_medium,
-        medium_shards=config.medium_shards,
         workers=args.workers,
     )
     sweep.run()
@@ -515,12 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(density)
     density.add_argument(
         "--populations", default="10,16,24", help="comma-separated population sizes"
-    )
-    density.add_argument(
-        "--per-device-medium",
-        action="store_true",
-        help="use the per-device contact-detection reference path "
-        "(same contacts; for benchmarking the batched engine)",
     )
     density.set_defaults(func=cmd_density)
 

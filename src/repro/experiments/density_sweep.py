@@ -33,8 +33,7 @@ class DensityPoint:
     contacts: int
     #: Medium instrumentation: ticks run and candidate distance checks
     #: performed in the spatial index — the contact-detection work the
-    #: batched engine compresses (compare a run against
-    #: ``medium_batched=False`` to see the reduction).
+    #: pair sweep compresses.
     medium_ticks: int = 0
     distance_checks: int = 0
 
@@ -82,8 +81,6 @@ class DensitySweep:
         base_config: Optional[ScenarioConfig] = None,
         populations: Sequence[int] = (10, 16, 24),
         scale_meetups_with_population: bool = True,
-        medium_batched: bool = True,
-        medium_shards: int = 0,
         provisioning: Optional[str] = None,
         key_cache_dir: Optional[str] = None,
         workers: int = 1,
@@ -92,19 +89,9 @@ class DensitySweep:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if medium_shards and workers > 1:
-            # Nested process pools: every sweep worker would fork its own
-            # shard pool.  Legal, but never what a 1-machine sweep wants.
-            raise ValueError(
-                "medium_shards requires workers=1 (sweep-level and "
-                "shard-level process pools do not compose on one host)"
-            )
         self.base_config = base_config or ScenarioConfig(duration_days=3, total_posts=110)
         self.populations = tuple(populations)
         self.scale_meetups_with_population = scale_meetups_with_population
-        self.medium_batched = medium_batched
-        #: Sharded-engine worker count per point (0 = single-process).
-        self.medium_shards = medium_shards
         self.provisioning = provisioning
         self.key_cache_dir = key_cache_dir
         self.workers = workers
@@ -118,14 +105,8 @@ class DensitySweep:
 
     def _config_for(self, num_users: int) -> ScenarioConfig:
         # Crypto mode rides base_config (ScenarioConfig.session_crypto);
-        # medium_batched stays an explicit engine toggle (PR 1 API), and
         # provisioning/key_cache_dir override base_config when given.
-        config = replace(
-            self.base_config,
-            num_users=num_users,
-            medium_batched=self.medium_batched,
-            medium_shards=self.medium_shards,
-        )
+        config = replace(self.base_config, num_users=num_users)
         if self.provisioning is not None:
             config = replace(config, provisioning=self.provisioning)
         if self.key_cache_dir is not None:

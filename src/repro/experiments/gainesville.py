@@ -145,13 +145,7 @@ class GainesvilleStudy:
         cfg = self.config
         fault_plan = cfg.fault_plan()
         self.sim = Simulator(seed=cfg.seed)
-        self.medium = Medium(
-            self.sim,
-            tick_interval=cfg.medium_tick_s,
-            batched=cfg.medium_batched,
-            shards=cfg.medium_shards,
-            halo_m=cfg.medium_halo_m,
-        )
+        self.medium = Medium(self.sim, tick_interval=cfg.medium_tick_s)
         self.framework = MpcFramework(self.sim, self.medium)
         self.cloud = CloudService(
             rng=HmacDrbg.from_int(cfg.seed * 7919 + 1), now=0.0, key_bits=cfg.key_bits

@@ -39,21 +39,6 @@ class ScenarioConfig:
 
     # -- mobility calibration (not published; see EXPERIMENTS.md) -----------------
     medium_tick_s: float = 30.0
-    #: Contact-detection engine: the batched pair sweep (default) or the
-    #: per-device reference path.  Both produce byte-identical contact
-    #: traces for a fixed seed; the flag exists for benchmarking and
-    #: equivalence checks (see "Scaling the medium" in repro.net.medium).
-    medium_batched: bool = True
-    #: ``>= 1`` runs contact detection on the sharded cross-process
-    #: engine with that many worker processes (spatial bands + halo
-    #: exchange; see repro.net.medium_engines.sharded).  ``0`` keeps the
-    #: single-process engines.  Traces are byte-identical across engines
-    #: and shard counts for a fixed seed.
-    medium_shards: int = 0
-    #: Minimum sharded-engine ghost-zone width in metres (None = the
-    #: sweep radius; the knob can only widen).  Ignored unless
-    #: ``medium_shards >= 1``.
-    medium_halo_m: Optional[float] = None
     campus_radius_m: float = 500.0
     num_social_venues: int = 6
 
@@ -196,10 +181,6 @@ class ScenarioConfig:
             )
         if self.provisioning_workers < 1:
             raise ValueError("provisioning_workers must be at least 1")
-        if self.medium_shards < 0:
-            raise ValueError("medium_shards must be non-negative")
-        if self.medium_halo_m is not None and self.medium_halo_m <= 0:
-            raise ValueError("medium_halo_m must be positive when set")
         # Unknown kinds and the figure4a/num_users constraint are
         # rejected by the knob's single validation point.
         resolve_social_graph_kind(self.social_graph, self.num_users)

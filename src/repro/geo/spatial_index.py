@@ -34,63 +34,6 @@ except ImportError:  # pragma: no cover - numpy ships with the toolchain
 #: cost (array building, sorts) per tick.
 _NUMPY_SWEEP_MIN = 192
 
-#: Sentinel band bound: far beyond any grid column a planar world can
-#: reach (cell coordinates are ``floor(x / cell_size)`` of float64
-#: positions, which cannot approach 2**60 without losing integer
-#: precision first).
-BAND_SENTINEL = 2 ** 60
-
-
-def cell_x_of(x: float, cell_size: float) -> int:
-    """The grid-column index of coordinate ``x`` — the shard key of the
-    sharded medium.  Must match ``SpatialHashIndex._cell_of`` exactly
-    (``floor(x / cell_size)``) so a parent process and its shard workers
-    agree on every cell boundary bit for bit."""
-    return int(math.floor(x / cell_size))
-
-
-def span_cells(distance: float, cell_size: float) -> int:
-    """How many grid columns a geometric ``distance`` can cross: the
-    halo (ghost-zone) width, in cells, that makes a per-band pair sweep
-    complete for pairs straddling the band boundary."""
-    return int(math.ceil(distance / cell_size))
-
-
-def partition_cell_bands(
-    counts: Dict[int, int], shards: int
-) -> List[Tuple[int, int]]:
-    """Split occupied grid columns into ``shards`` contiguous bands.
-
-    ``counts`` maps a column index (:func:`cell_x_of`) to its occupant
-    count.  Returns ``shards`` half-open ``[lo, hi)`` column ranges that
-    tile the whole integer axis (outer bounds are ±:data:`BAND_SENTINEL`
-    so every position falls in exactly one band), cut greedily so the
-    cumulative occupant count per band approaches ``total / shards``.
-    Pure integer arithmetic over a sorted key list: the same counts
-    always produce the same bands, in any process.
-
-    Trailing bands may be empty (``(hi, hi)``) when there are fewer
-    occupied columns than shards — their workers simply sweep nothing.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    boundaries = [-BAND_SENTINEL]
-    total = sum(counts.values())
-    if total and shards > 1:
-        cumulative = 0
-        for cx in sorted(counts):
-            if len(boundaries) == shards:
-                break
-            cumulative += counts[cx]
-            # Close the current band after this column once it holds its
-            # proportional share (integer cross-multiplication — exact).
-            if cumulative * shards >= total * len(boundaries):
-                boundaries.append(cx + 1)
-    while len(boundaries) < shards:
-        boundaries.append(BAND_SENTINEL)
-    boundaries.append(BAND_SENTINEL)
-    return [(boundaries[i], boundaries[i + 1]) for i in range(shards)]
-
 
 class SpatialHashIndex:
     """Maps hashable items to positions and serves radius queries."""

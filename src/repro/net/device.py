@@ -32,11 +32,8 @@ class Device:
         self.mobility = mobility
         self.radios: Tuple[RadioProfile, ...] = tuple(radios)
         self.powered_on = powered_on
-        #: Most recent known position: a Point, a raw ``(x, y)`` tuple
-        #: (the sharded engine scatters 10k+ worker-reported positions
-        #: per tick and defers Point construction to first read — most
-        #: are never read), or None before the first tick.
-        self._last_position: Optional[object] = None
+        #: Most recent known position (None before the first tick).
+        self._last_position: Optional[Point] = None
 
     def position_at(self, now: float) -> Point:
         """Current position (delegates to the mobility model)."""
@@ -47,11 +44,7 @@ class Device:
     @property
     def last_position(self) -> Optional[Point]:
         """Most recently computed position (None before the first tick)."""
-        position = self._last_position
-        if type(position) is tuple:
-            position = Point(position[0], position[1])
-            self._last_position = position
-        return position
+        return self._last_position
 
     def max_speed_m_s(self) -> Optional[float]:
         """Speed bound from the mobility model (None when unknown)."""

@@ -11,13 +11,13 @@ is always derived from the radio the link was *raised* on, so a pair
 whose best common technology would change mid-contact keeps a stable
 survival margin.
 
-Scaling the medium
-==================
+The tick
+========
 
 Contact detection is the hottest loop of every experiment: it runs once
-per ``tick_interval`` for the whole population, for the whole study.  The
-default engine (``batched=True``) is built for density sweeps with
-thousands of devices:
+per ``tick_interval`` for the whole population, for the whole study.
+:meth:`Medium.tick` is built for density sweeps with thousands of
+devices:
 
 * **Batched mobility** — devices are grouped by mobility class and each
   class advances its whole group through one
@@ -41,20 +41,15 @@ thousands of devices:
   out of range) and short-range radios inside a long-range sweep;
   fast-moving homogeneous-radio pairs rarely qualify.
 
-How the candidate set is produced each tick is delegated to a strategy
-object from :mod:`repro.net.medium_engines`: the per-device reference
-oracle (``batched=False``), the batched single-process engine (the
-default), or the sharded cross-process engine (``shards >= 1``), which
-partitions the batched sweep over a persistent pool of worker processes
-with ghost-zone (halo) position exchange at shard boundaries.  All
-engines feed the same incremental link diff (:meth:`Medium._apply_candidates`)
-and emit link events in sorted pair order within a tick, which makes
-contact traces byte-identical across engines, shard counts *and*
-processes (cell sets iterate in hash order, so unsorted emission would
-depend on ``PYTHONHASHSEED``).  See
-``benchmarks/test_bench_medium_scale.py`` and
-``benchmarks/test_bench_shard_scale.py`` for throughput numbers and the
-equivalence checks, and EXPERIMENTS.md for how to run them.
+Link events are emitted in sorted pair order within a tick, which makes
+contact traces byte-identical across processes (cell sets iterate in
+hash order, so unsorted emission would depend on ``PYTHONHASHSEED``).
+The seed algorithm — one radius query per device, pair-set rediff —
+lives on as a test oracle, ``PerDeviceMedium`` in
+``tests/medium_oracle.py``: ``tests/test_medium_scale.py`` and
+``benchmarks/test_bench_medium_scale.py`` check that both produce
+byte-identical traces and measure the tick's throughput against it (see
+EXPERIMENTS.md for how to run them).
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.geo.spatial_index import SpatialHashIndex
 from repro.net.contact import ContactTracker, pair_key
 from repro.net.device import Device
-from repro.net.medium_engines import resolve_engine
 from repro.net.radio import RadioProfile, best_common_radio
 from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTimer
@@ -99,21 +93,6 @@ class Medium:
         tighten it in micro-benchmarks when Bluetooth-only fidelity matters.
     hysteresis:
         Link-drop range multiplier (drop at range * hysteresis).
-    batched:
-        Use the batched contact-detection engine (default).  ``False``
-        selects the per-device reference path — same contacts, per-device
-        spatial queries; kept as the benchmark/equivalence oracle.
-    shards:
-        ``>= 1`` selects the sharded cross-process engine with that many
-        worker processes (``batched`` is then ignored — sharding
-        generalises the batched algorithm).  ``0`` (default) keeps the
-        single-process engines.  ``shards=1`` is the full sharded
-        machinery with one worker: useful for isolating the partition
-        overhead and for equivalence tests.
-    halo_m:
-        Minimum ghost-zone width in metres for the sharded engine.  The
-        engine always uses at least the sweep radius; this knob can only
-        widen the halo.  Ignored unless ``shards >= 1``.
     """
 
     def __init__(
@@ -121,22 +100,14 @@ class Medium:
         sim: Simulator,
         tick_interval: float = 30.0,
         hysteresis: float = 1.1,
-        batched: bool = True,
-        shards: int = 0,
-        halo_m: Optional[float] = None,
     ) -> None:
         if tick_interval <= 0:
             raise ValueError(f"tick_interval must be positive, got {tick_interval}")
         if hysteresis < 1.0:
             raise ValueError(f"hysteresis must be >= 1.0, got {hysteresis}")
-        if shards < 0:
-            raise ValueError(f"shards must be >= 0, got {shards}")
         self.sim = sim
         self.tick_interval = float(tick_interval)
         self.hysteresis = float(hysteresis)
-        self.batched = bool(batched)
-        self.shards = int(shards)
-        self.halo_m = halo_m
         self.devices: Dict[str, Device] = {}
         self.contacts = ContactTracker()
         self._index = SpatialHashIndex(cell_size=120.0)
@@ -157,24 +128,24 @@ class Medium:
         self._class_radio: Dict[int, Optional[Tuple[RadioProfile, float]]] = {}
         #: pair -> earliest time the pair could possibly come into range.
         self._next_check: Dict[Tuple[str, str], float] = {}
+        #: mobility-class groups, rebuilt after add/remove.
+        self._groups: Optional[List[Tuple[type, List[Device], list]]] = None
         # Tick instrumentation (read by the scale bench and sweep reports).
         self.tick_count = 0
         self.pairs_examined = 0
         self.pair_checks_skipped = 0
-        #: cumulative parent-process CPU seconds spent inside tick() —
-        #: the serialised section that governs multi-core scaling.
+        #: cumulative CPU seconds spent inside tick().
         self.tick_cpu_s = 0.0
-        self.engine = resolve_engine(self, self.batched, self.shards, halo_m)
         self._timer = PeriodicTimer(sim, self.tick_interval, self.tick, name="medium-tick")
 
     # -- population ---------------------------------------------------------------
     def add_device(self, device: Device) -> None:
         """Register a device.
 
-        The batched engine snapshots the device's mobility object, radio
-        set and speed bound here; none of them may be swapped while the
-        device is registered (``remove_device`` + ``add_device`` to
-        change them).  Power state may change freely at any time.
+        The medium snapshots the device's mobility object, radio set and
+        speed bound here; none of them may be swapped while the device
+        is registered (``remove_device`` + ``add_device`` to change
+        them).  Power state may change freely at any time.
         """
         if device.device_id in self.devices:
             raise ValueError(f"duplicate device id {device.device_id!r}")
@@ -189,7 +160,7 @@ class Medium:
             self._radio_set_ids[device.radios] = set_id
         self._radio_class[device.device_id] = set_id
         self._index.update(device.device_id, device.position_at(self.sim.now))
-        self.engine.device_added(device)
+        self._groups = None
 
     def remove_device(self, device_id: str) -> None:
         device = self.devices.get(device_id)
@@ -207,7 +178,7 @@ class Medium:
         self._radio_class.pop(device_id, None)
         for key in [k for k in self._next_check if device_id in k]:
             del self._next_check[key]
-        self.engine.device_removed(device_id)
+        self._groups = None
 
     # -- callbacks -----------------------------------------------------------------
     def on_link_up(self, callback: LinkCallback) -> None:
@@ -228,28 +199,52 @@ class Medium:
         for key in sorted(self._linked):
             self._drop_link(key)
         self.contacts.close_all(self.sim.now)
-        self.engine.stop()
 
     # -- the tick ---------------------------------------------------------------------
     def tick(self) -> None:
         """Advance positions and rediff the in-range pair set."""
         self.tick_count += 1
         started = time.process_time()  # repro: ignore[nondet-wallclock] -- bench instrumentation only: the reading accumulates into tick_cpu_s, which is reported by benchmarks and never reaches simulation state, scheduling or the trace.
-        self.engine.tick(self.sim.now)
+        now = self.sim.now
+        # Advance the population, one batch call per mobility class.
+        index = self._index
+        for mobility_cls, group_devices, models in self._mobility_groups():
+            points = mobility_cls.positions_at(models, now)
+            for device, position in zip(group_devices, points):
+                device._last_position = position
+            index.update_many(zip((d.device_id for d in group_devices), points))
+        candidates = index.pairs_within(
+            self._max_range * self.hysteresis, reach_of=self._reach
+        )
+        self.pairs_examined += len(candidates)
+        self._apply_candidates(now, candidates)
         self.tick_cpu_s += time.process_time() - started  # repro: ignore[nondet-wallclock] -- bench instrumentation only: see above.
+
+    def _mobility_groups(self) -> List[Tuple[type, List[Device], list]]:
+        """Devices bucketed by mobility class (cached between ticks)."""
+        if self._groups is None:
+            buckets: Dict[type, Tuple[type, List[Device], list]] = {}
+            # repro: ignore[nondet-iter] -- order cannot reach the trace: registry order only decides the order of the batched positions_at/update_many calls; every device's position lands in the same final index state, and link events are diffed from that state and emitted in sorted pair order (_apply_candidates).
+            for device in self.devices.values():
+                cls = type(device.mobility)
+                entry = buckets.get(cls)
+                if entry is None:
+                    entry = buckets[cls] = (cls, [], [])
+                entry[1].append(device)
+                entry[2].append(device.mobility)
+            self._groups = list(buckets.values())
+        return self._groups
 
     def _apply_candidates(
         self, now: float, candidates: List[Tuple[str, str, float]]
     ) -> None:
-        """The shared incremental link diff.
+        """The incremental link diff.
 
         ``candidates`` is the tick's geometric candidate set —
         ``(a, b, d²)`` for every pair within ``min(reach_a, reach_b)``,
         each pair exactly once, in any order (the diff is per-pair
         independent and emission below is sorted, so candidate order
-        cannot reach the trace).  Engines must compute ``d²`` with the
-        ``pairs_within`` float64 arithmetic so range thresholds resolve
-        identically everywhere.
+        cannot reach the trace).
         """
         devices = self.devices
         linked = self._linked
@@ -384,8 +379,7 @@ class Medium:
 
     @property
     def distance_checks(self) -> int:
-        """Cumulative candidate distance computations — the geometric
-        work the batched sweep compresses (the per-device path visits
-        every pair from both ends; the sharded engine re-checks halo
-        pairs in whichever band sees them without owning them)."""
-        return self._index.distance_checks + self.engine.extra_distance_checks
+        """Cumulative candidate distance computations in the spatial
+        index — the geometric work the pair sweep compresses (one radius
+        query per device visits every pair from both ends)."""
+        return self._index.distance_checks

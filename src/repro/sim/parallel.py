@@ -1,30 +1,19 @@
-"""Deterministic multi-process fan-out: one-shot maps and a shard pool.
+"""Deterministic multi-process fan-out: :func:`parallel_map`.
 
-Two primitives, shared by every parallel path in the harness:
-
-* :func:`parallel_map` — fork a worker pool, map a pure function over
-  the items, tear the pool down.  Used by the keypair-pool prefetch and
-  the density-sweep point runner.
-* :class:`WorkerPool` — a *persistent* pool for per-tick task dispatch.
-  Each worker process is forked once, builds private state from an init
-  payload, and then answers one task per tick until closed.  The sharded
-  contact-detection engine (``repro.net.medium_engines.sharded``) is the
-  canonical client: shard workers hold per-shard mobility models across
-  thousands of ticks, which a one-shot map cannot express.
-
-Both fall back to in-process execution whenever forking is impossible —
-no ``fork`` start method on the platform, a sandbox that forbids
-subprocesses, or running *inside* a pool worker (daemonic processes
-cannot have children).
+Fork a worker pool, map a pure function over the items, tear the pool
+down.  Used by the keypair-pool prefetch and the density-sweep point
+runner.  It falls back to in-process execution whenever forking is
+impossible — no ``fork`` start method on the platform, a sandbox that
+forbids subprocesses, or running *inside* a pool worker (daemonic
+processes cannot have children).
 
 The contract callers must honour is that worker functions are pure
-functions of ``(state, task)`` (or of the item, for ``parallel_map``) —
-every task carries its own seed material and no result depends on
-scheduling.  Under that contract the parallel run is bit-for-bit the
-serial run, so the fallback is always safe.  ``repro lint`` rule family
-3 (``fork-unsafe``) statically enforces the shape: workers must be
-module-level functions that do not close over locks, files, Simulators
-or Mediums.
+functions of the item — every item carries its own seed material and no
+result depends on scheduling.  Under that contract the parallel run is
+bit-for-bit the serial run, so the fallback is always safe.  ``repro
+lint`` rule family 3 (``fork-unsafe``) statically enforces the shape:
+workers must be module-level functions that do not close over locks,
+files, Simulators or Mediums.
 
 Failure surfacing: a worker exception is captured *with its original
 traceback text* in the worker, shipped back, and re-raised in the
@@ -126,171 +115,3 @@ def parallel_map(
     if envelopes is None:
         envelopes = [_capture(fn, item) for item in items]
     return [_unwrap(envelope, f"parallel_map:{fn.__name__}") for envelope in envelopes]
-
-
-def _pool_worker_main(conn, init_fn, payload) -> None:
-    """Entry point of one persistent pool worker.
-
-    Builds the worker's private state once, then serves ``(fn, task)``
-    requests until the parent sends the ``None`` shutdown sentinel.
-    Every reply is an envelope (see :func:`_capture`); an init failure
-    is reported the same way and ends the process.
-    """
-    try:
-        state_envelope = _capture(init_fn, payload)
-        # Acknowledge init without shipping the (potentially huge) state
-        # back: success sends an empty OK envelope, failure the usual
-        # error envelope.
-        conn.send((_OK, None) if state_envelope[0] == _OK else state_envelope)
-        if state_envelope[0] != _OK:
-            return
-        state = state_envelope[1]
-        while True:
-            request = conn.recv()
-            if request is None:
-                return
-            fn, task = request
-            conn.send(_capture(fn, state, task))
-    except (EOFError, BrokenPipeError, KeyboardInterrupt):
-        return  # parent went away: exit quietly
-    finally:
-        conn.close()
-
-
-class WorkerPool:
-    """A persistent pool of stateful workers for per-tick dispatch.
-
-    Each of the ``len(init_payloads)`` workers runs
-    ``state = init_fn(payload_k)`` once, then serves
-    ``fn(state, task_k)`` calls round after round via :meth:`dispatch`.
-    Processes are forked (start method ``"fork"``) so init payloads —
-    which may hold large object graphs such as mobility models — are
-    inherited by memory copy rather than pickled; per-round tasks and
-    results do cross the pipe and should stay compact.
-
-    Where forking is unavailable the pool degrades to *serial mode*:
-    states are built in-process and dispatch runs the workers inline, in
-    worker order.  Because workers are pure functions of
-    ``(state, task)``, serial mode returns bit-identical results —
-    callers cannot observe the difference except in wall-clock time
-    (``forked`` says which mode is active).
-
-    Workers are daemonic: an abandoned pool cannot outlive the parent
-    process, and :meth:`close` is idempotent.
-    """
-
-    def __init__(
-        self,
-        init_fn: Callable[[Any], Any],
-        init_payloads: Sequence[Any],
-    ) -> None:
-        if not init_payloads:
-            raise ValueError("WorkerPool needs at least one worker payload")
-        self.workers = len(init_payloads)
-        self._connections: List[Any] = []
-        self._processes: List[Any] = []
-        self._states: Optional[List[Any]] = None  # serial mode only
-        self._closed = False
-        forked = False
-        try:
-            import multiprocessing
-
-            if multiprocessing.current_process().daemon:
-                raise OSError("nested pool")
-            ctx = multiprocessing.get_context("fork")
-            for payload in init_payloads:
-                parent_conn, child_conn = ctx.Pipe()
-                process = ctx.Process(
-                    target=_pool_worker_main,
-                    args=(child_conn, init_fn, payload),
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._connections.append(parent_conn)
-                self._processes.append(process)
-            # Collect init acknowledgements; a failing init_fn surfaces
-            # here with its worker traceback, before any dispatch.
-            for index, conn in enumerate(self._connections):
-                _unwrap(conn.recv(), f"WorkerPool[{index}]:{init_fn.__name__}")
-            forked = True
-        except (ImportError, ValueError, OSError, AssertionError):
-            self._teardown_processes()
-        except BaseException:
-            # Anything else (a worker init failure surfaced by _unwrap,
-            # an interrupt) propagates — but never with live processes.
-            self._teardown_processes()
-            raise
-        if not forked:
-            # Serial mode: states live in-process.  Sharing the payload
-            # object graph with the caller is safe precisely because no
-            # second copy exists — there is nothing to diverge from.
-            self._states = [init_fn(payload) for payload in init_payloads]
-        self.forked = forked
-
-    def dispatch(
-        self, fn: Callable[[Any, Any], Any], tasks: Sequence[Any]
-    ) -> List[Any]:
-        """Run ``fn(state_k, tasks[k])`` on every worker; results in
-        worker order.  ``fn`` must be a picklable module-level pure
-        function (rule family 3 checks call sites statically)."""
-        if self._closed:
-            raise RuntimeError("dispatch on a closed WorkerPool")
-        if len(tasks) != self.workers:
-            raise ValueError(
-                f"need exactly {self.workers} tasks (one per worker), got {len(tasks)}"
-            )
-        if self._states is not None:
-            return [
-                _unwrap(_capture(fn, state, task), f"WorkerPool[serial]:{fn.__name__}")
-                for state, task in zip(self._states, tasks)
-            ]
-        for conn, task in zip(self._connections, tasks):
-            conn.send((fn, task))
-        # Drain every pipe before unwrapping: raising on the first failed
-        # envelope with later ones unread would leave the pipes out of
-        # lockstep for the next round.
-        envelopes = [conn.recv() for conn in self._connections]
-        return [
-            _unwrap(envelope, f"WorkerPool[{index}]:{fn.__name__}")
-            for index, envelope in enumerate(envelopes)
-        ]
-
-    def close(self) -> None:
-        """Shut the workers down (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._connections:
-            try:
-                conn.send(None)
-            except (OSError, ValueError):
-                pass  # worker already gone
-        self._teardown_processes()
-        self._states = None
-
-    def _teardown_processes(self) -> None:
-        for conn in self._connections:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5.0)
-        self._connections = []
-        self._processes = []
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        try:
-            self.close()
-        except Exception:  # repro: ignore[except-swallow] -- finaliser: raising during interpreter teardown would mask the real error; workers are daemonic and die with the parent anyway.
-            pass

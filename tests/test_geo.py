@@ -8,12 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geo import Place, PlaceKind, Point, Region, SpatialHashIndex, distance, midpoint
 from repro.geo.region import GAINESVILLE_AREA
-from repro.geo.spatial_index import (
-    BAND_SENTINEL,
-    cell_x_of,
-    partition_cell_bands,
-    span_cells,
-)
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -146,7 +140,7 @@ def _brute_force_pairs(points, radius, reach_of=None):
 
 
 class TestSpatialIndexBoundaries:
-    """Edge geometry the sharded engine leans on: items exactly on cell
+    """Edge geometry the pair sweep leans on: items exactly on cell
     boundaries, sweep radius equal to the cell size, cell churn."""
 
     def test_pairs_on_exact_cell_edges(self):
@@ -212,7 +206,8 @@ class TestSpatialIndexBoundaries:
 
     def test_reach_of_on_threshold_boundary(self):
         # A pair exactly at min(reach_a, reach_b) is in; epsilon beyond
-        # is out.  This is the arithmetic every engine must share.
+        # is out.  This is the arithmetic the tick and its per-device
+        # oracle must share.
         index = SpatialHashIndex(cell_size=50)
         index.update("a", Point(0, 0))
         index.update("b", Point(30.0, 0))
@@ -250,67 +245,6 @@ class TestSpatialIndexBoundaries:
         index.update_many([("parked", home)])
         assert index.within(Point(3.0, 4.0), 1.0) == ["parked"]
         assert index.occupied_cells == 1
-
-
-class TestShardPartition:
-    """The band-partition API the sharded medium shards the grid with."""
-
-    def test_cell_x_matches_index_cells(self):
-        size = 120.0
-        index = SpatialHashIndex(cell_size=size)
-        for x in (-360.0, -120.0, -0.1, 0.0, 0.1, 119.999, 120.0, 360.5):
-            index.update("probe", Point(x, 55.0))
-            (cell,) = index._cells  # noqa: SLF001 - asserting the contract
-            assert cell[0] == cell_x_of(x, size)
-
-    def test_span_cells(self):
-        assert span_cells(120.0, 120.0) == 1
-        assert span_cells(120.1, 120.0) == 2
-        assert span_cells(1.0, 120.0) == 1
-        assert span_cells(600.0, 120.0) == 5
-
-    def test_bands_tile_the_axis(self):
-        counts = {0: 5, 1: 1, 2: 9, 7: 3, -4: 2}
-        for shards in (1, 2, 3, 4, 8):
-            bands = partition_cell_bands(counts, shards)
-            assert len(bands) == shards
-            assert bands[0][0] == -BAND_SENTINEL
-            assert bands[-1][1] == BAND_SENTINEL
-            for (_, hi), (lo, _) in zip(bands, bands[1:]):
-                assert hi == lo  # contiguous, no gaps or overlaps
-            for cx in counts:
-                owners = [1 for lo, hi in bands if lo <= cx < hi]
-                assert sum(owners) == 1
-
-    def test_bands_balance_occupancy(self):
-        counts = {cx: 10 for cx in range(100)}
-        bands = partition_cell_bands(counts, 4)
-        per_band = [
-            sum(n for cx, n in counts.items() if lo <= cx < hi) for lo, hi in bands
-        ]
-        assert per_band == [250, 250, 250, 250]
-
-    def test_more_shards_than_columns(self):
-        bands = partition_cell_bands({5: 3}, 4)
-        # First band swallows the whole population; the rest are empty
-        # (unoccupied ranges or degenerate) and sweep nothing.
-        assert bands[0] == (-BAND_SENTINEL, 6)
-        assert [1 for lo, hi in bands if lo <= 5 < hi] == [1]
-
-    def test_empty_counts(self):
-        bands = partition_cell_bands({}, 3)
-        assert len(bands) == 3
-        assert [1 for lo, hi in bands if lo <= 0 < hi] == [1]
-
-    def test_deterministic(self):
-        counts = {cx: (cx * 7919) % 23 + 1 for cx in range(-50, 50)}
-        assert partition_cell_bands(dict(reversed(list(counts.items()))), 6) == (
-            partition_cell_bands(counts, 6)
-        )
-
-    def test_invalid_shards(self):
-        with pytest.raises(ValueError):
-            partition_cell_bands({0: 1}, 0)
 
 
 class TestPlace:

@@ -299,67 +299,35 @@ class TestForkSafety:
         )
         assert lint_source(good) == []
 
-    # -- shard-pool task patterns (WorkerPool / dispatch) ------------------------
-
-    def test_worker_pool_lambda_init_flags(self):
-        bad = (
-            "from repro.sim.parallel import WorkerPool\n"
-            "def build(models):\n"
-            "    return WorkerPool(lambda payload: dict(payload), models)\n"
-        )
-        assert rules_of(lint_source(bad)) == ["fork-unsafe"]
-
-    def test_dispatch_nested_worker_flags(self):
-        bad = (
-            "from repro.sim.parallel import WorkerPool\n"
-            "def tick(pool, sim):\n"
-            "    def advance(state, task):\n"
-            "        return state, sim.now\n"
-            "    return pool.dispatch(advance, [1, 2])\n"
-        )
-        assert rules_of(lint_source(bad)) == ["fork-unsafe"]
-
-    def test_dispatch_bound_method_worker_flags(self):
-        # The canonical shard-task hazard: dispatching a Medium/Simulator
-        # bound method drags the whole live object through the fork.
-        bad = (
-            "from repro.sim.parallel import WorkerPool\n"
-            "class Engine:\n"
-            "    def tick(self, pool, tasks):\n"
-            "        return pool.dispatch(self.medium.sweep, tasks)\n"
-        )
-        assert rules_of(lint_source(bad)) == ["fork-unsafe"]
-
-    def test_dispatch_worker_touching_module_medium_flags(self):
+    def test_worker_touching_module_medium_flags(self):
         bad = (
             "from repro.net.medium import Medium\n"
-            "from repro.sim.parallel import WorkerPool\n"
+            "from repro.sim.parallel import parallel_map\n"
             "MEDIUM = Medium(object())\n"
-            "def sweep(state, task):\n"
-            "    return MEDIUM.active_links\n"
-            "def tick(pool, tasks):\n"
-            "    return pool.dispatch(sweep, tasks)\n"
+            "def sweep(item):\n"
+            "    return MEDIUM.active_links + item\n"
+            "def run(items):\n"
+            "    return parallel_map(sweep, items, 4)\n"
         )
         assert rules_of(lint_source(bad)) == ["fork-unsafe"]
 
-    def test_imported_shard_workers_pass(self):
-        # The sharded engine's own shape: workers imported by name are
-        # vouched for where they are defined.
+    def test_imported_worker_passes(self):
+        # Workers imported by name are vouched for where they are defined.
         good = (
-            "from repro.net.medium_engines.shard_worker import advance_shard, build_state\n"
-            "from repro.sim.parallel import WorkerPool\n"
-            "def tick(payloads, tasks):\n"
-            "    pool = WorkerPool(build_state, payloads)\n"
-            "    return pool.dispatch(advance_shard, tasks)\n"
+            "from repro.experiments.density_sweep import _run_sweep_point\n"
+            "from repro.sim.parallel import parallel_map\n"
+            "def run(configs):\n"
+            "    return parallel_map(_run_sweep_point, configs, 4)\n"
         )
         assert lint_source(good) == []
 
     def test_unrelated_dispatch_method_not_policed(self):
-        # dispatch() is a generic name; without the parallel API imported
-        # it belongs to someone else's protocol.
+        # Only parallel_map calls are policed, even next to one:
+        # dispatch() is a generic name from someone else's protocol.
         good = (
-            "def route(bus, handler, message):\n"
-            "    return bus.dispatch(handler, message)\n"
+            "from repro.sim.parallel import parallel_map\n"
+            "def route(bus, message):\n"
+            "    return bus.dispatch(lambda m: m, message)\n"
         )
         assert lint_source(good) == []
 

@@ -1,4 +1,4 @@
-"""Regression tests for the batched contact-detection engine and the
+"""Regression tests for the batched contact-detection tick and the
 link-lifecycle bugfix sweep that rode along with it:
 
 * ``Medium.remove_device`` fires link-down callbacks (it used to pop the
@@ -8,7 +8,8 @@ link-lifecycle bugfix sweep that rode along with it:
   serves the new ``update_many`` / ``pairs_within`` batch APIs,
 * ``Simulator`` compacts cancelled events out of the heap,
 * BubbleRap's encounter window is a deque (O(1) expiry),
-* batched and per-device engines produce byte-identical traces.
+* the batched tick and the per-device oracle (``tests/medium_oracle.py``)
+  produce byte-identical traces.
 """
 
 import random
@@ -28,6 +29,7 @@ from repro.net.medium import Medium
 from repro.net.radio import BLUETOOTH, DEFAULT_RADIO_SET, P2P_WIFI
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
+from tests.medium_oracle import PerDeviceMedium
 from tests.test_routing_protocols import ALICE, BOB, CAROL, FakeServices
 
 
@@ -45,10 +47,14 @@ class _Script(MobilityModel):
         return position
 
 
+def make_medium(sim, tick, batched):
+    """The batched ``Medium`` or the per-device oracle."""
+    return (Medium if batched else PerDeviceMedium)(sim, tick_interval=tick)
+
+
 def make_world(tick=10.0, batched=True):
     sim = Simulator(seed=1)
-    medium = Medium(sim, tick_interval=tick, batched=batched)
-    return sim, medium
+    return sim, make_medium(sim, tick, batched)
 
 
 class TestRemoveDeviceCallbacks:
@@ -317,7 +323,7 @@ class TestMobilityBatchApi:
                 return Point(200.0 - now, 0.0)  # unbounded claim: returns None
 
         sim = Simulator(seed=1)
-        medium = Medium(sim, tick_interval=10.0, batched=True)
+        medium = Medium(sim, tick_interval=10.0)
         medium.add_device(Device("a", StationaryModel(Point(0, 0))))
         medium.add_device(Device("b", Drifter()))
         medium.start()
@@ -330,7 +336,7 @@ class TestEngineEquivalence:
     def test_batched_and_per_device_traces_identical(self):
         def run(batched):
             sim = Simulator(seed=11)
-            medium = Medium(sim, tick_interval=30.0, batched=batched)
+            medium = make_medium(sim, 30.0, batched)
             region = Region(0, 0, 1500, 1500)
             for i in range(60):
                 rng = random.Random(1000 + i)
@@ -345,6 +351,20 @@ class TestEngineEquivalence:
             sim.schedule_at(95.0, medium.devices["d001"].power_off)
             sim.schedule_at(215.0, medium.devices["d001"].power_on)
             sim.schedule_at(155.0, medium.remove_device, "d007")
+            # A mid-run add: a latecomer parked 5 m from the stationary
+            # d000 links, then leaves at t=400 s.  The link only drops
+            # if the tick's mobility groups were rebuilt to include it.
+            anchor = medium.devices["d000"].last_position
+            latecomer = Device(
+                "d_late",
+                _Script(
+                    [
+                        (0.0, Point(anchor.x + 5.0, anchor.y)),
+                        (400.0, Point(anchor.x + 500.0, anchor.y)),
+                    ]
+                ),
+            )
+            sim.schedule_at(245.0, medium.add_device, latecomer)
             sim.run(until=600.0)
             medium.stop()
             return [
@@ -356,6 +376,10 @@ class TestEngineEquivalence:
         reference = run(False)
         assert batched == reference
         assert any(event[1] == "contact" for event in batched)
+        latecomer_events = [
+            event[:3] for event in batched if "d_late" in dict(event[3]).values()
+        ]
+        assert latecomer_events == [(270.0, "contact", "up"), (420.0, "contact", "down")]
 
     def test_medium_tick_instrumentation_counts(self):
         sim, medium = make_world(batched=True)
@@ -370,7 +394,7 @@ class TestEngineEquivalence:
     def test_batched_engine_compresses_distance_checks(self):
         def run(batched):
             sim = Simulator(seed=3)
-            medium = Medium(sim, tick_interval=30.0, batched=batched)
+            medium = make_medium(sim, 30.0, batched)
             region = Region(0, 0, 1200, 1200)
             for i in range(80):
                 rng = random.Random(500 + i)

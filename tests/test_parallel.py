@@ -1,17 +1,15 @@
-"""Tests for the multi-process fan-out primitives.
+"""Tests for the multi-process fan-out primitive, ``parallel_map``.
 
-Covers the failure-surfacing contract (worker exceptions re-raised in
-the parent with the original worker traceback attached — never silently
-retried in-process) and the persistent :class:`WorkerPool` lifecycle
-the sharded medium is built on.
+Covers the failure-surfacing contract: worker exceptions are re-raised
+in the parent with the original worker traceback attached — never
+silently retried in-process.
 """
 
-import multiprocessing
 import threading
 
 import pytest
 
-from repro.sim.parallel import WorkerError, WorkerPool, parallel_map
+from repro.sim.parallel import WorkerError, parallel_map
 
 
 # -- module-level worker functions (picklable by qualified name) -----------------
@@ -39,23 +37,6 @@ class _UnpicklableError(Exception):
 
 def _raise_unpicklable(x):
     raise _UnpicklableError(f"held a lock for {x}")
-
-
-def _init_counter(start):
-    return {"count": start}
-
-
-def _init_boom(payload):
-    raise RuntimeError(f"init refused payload {payload}")
-
-
-def _bump(state, amount):
-    state["count"] += amount
-    return state["count"]
-
-
-def _task_boom(state, task):
-    raise KeyError(f"no such task {task}")
 
 
 class TestParallelMap:
@@ -86,74 +67,3 @@ class TestParallelMap:
         with pytest.raises(WorkerError, match="held a lock for 1") as excinfo:
             parallel_map(_raise_unpicklable, [1, 2], workers=2)
         assert "_raise_unpicklable" in str(excinfo.value)
-
-
-class TestWorkerPool:
-    def test_states_persist_across_dispatches(self):
-        with WorkerPool(_init_counter, [100, 200]) as pool:
-            assert pool.dispatch(_bump, [1, 2]) == [101, 202]
-            assert pool.dispatch(_bump, [10, 20]) == [111, 222]
-            assert pool.workers == 2
-
-    def test_task_count_must_match_workers(self):
-        with WorkerPool(_init_counter, [0, 0]) as pool:
-            with pytest.raises(ValueError, match="exactly 2 tasks"):
-                pool.dispatch(_bump, [1])
-
-    def test_dispatch_error_carries_worker_traceback(self):
-        with WorkerPool(_init_counter, [0, 0]) as pool:
-            with pytest.raises(KeyError, match="no such task") as excinfo:
-                pool.dispatch(_task_boom, ["t0", "t1"])
-            notes = "\n".join(getattr(excinfo.value, "__notes__", []))
-            assert "_task_boom" in notes
-            # The pool survives a failed round: every worker answered
-            # its envelope, so the pipes stay in lockstep.
-            assert pool.dispatch(_bump, [1, 1]) == [1, 1]
-
-    def test_init_failure_surfaces(self):
-        with pytest.raises(RuntimeError, match="init refused payload"):
-            WorkerPool(_init_boom, ["p0", "p1"])
-
-    def test_close_is_idempotent_and_final(self):
-        pool = WorkerPool(_init_counter, [0])
-        pool.close()
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed WorkerPool"):
-            pool.dispatch(_bump, [1])
-
-    def test_needs_at_least_one_payload(self):
-        with pytest.raises(ValueError):
-            WorkerPool(_init_counter, [])
-
-    def test_serial_fallback_matches_forked(self, monkeypatch):
-        forked = WorkerPool(_init_counter, [10, 20])
-        forked_results = [
-            forked.dispatch(_bump, [1, 2]),
-            forked.dispatch(_bump, [3, 4]),
-        ]
-        forked.close()
-        # Forbid forking: the pool must degrade to serial mode and
-        # produce bit-identical results.
-        monkeypatch.setattr(
-            multiprocessing,
-            "get_context",
-            lambda method: (_ for _ in ()).throw(ValueError(method)),
-        )
-        serial = WorkerPool(_init_counter, [10, 20])
-        assert not serial.forked
-        assert [
-            serial.dispatch(_bump, [1, 2]),
-            serial.dispatch(_bump, [3, 4]),
-        ] == forked_results
-        serial.close()
-
-    def test_serial_mode_surfaces_errors_identically(self, monkeypatch):
-        monkeypatch.setattr(
-            multiprocessing,
-            "get_context",
-            lambda method: (_ for _ in ()).throw(ValueError(method)),
-        )
-        with WorkerPool(_init_counter, [0]) as pool:
-            assert not pool.forked
-            with pytest.raises(KeyError, match="no such task"):
-                pool.dispatch(_task_boom, ["t"])
