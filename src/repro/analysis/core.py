@@ -1,7 +1,7 @@
 """Lint framework: findings, rule protocol, suppressions, file runner.
 
-The framework is deliberately dependency-free (``ast`` + ``re``): it has
-to run in the no-numpy CI lane and inside the tier-1 suite.  Rules are
+The framework is deliberately dependency-free (``ast`` + ``re``): it
+reads source, never imports it, and runs inside the tier-1 suite.  Rules are
 small classes registered by :func:`repro.analysis.rules.default_rules`;
 each sees one parsed module at a time plus, optionally, a finalisation
 pass over the whole scan for cross-file checks (the trace-event

@@ -1,66 +1,15 @@
-"""Benchmark orchestration: declarative suites, trajectory artifacts.
+"""The ``repro bench`` trace-sha gate.
 
-The repo's optimisation history (batched medium, session crypto,
-provisioning, bulk bootstrap) reports its speedups in prose tables and
-coarse in-test ratio asserts.  This package turns them into a
-machine-readable *trajectory*:
+* :mod:`repro.bench.suites`  — the built-in suites ``smoke`` ⊂ ``default``.
+* :mod:`repro.bench.runner`  — runs a suite's points and writes
+  ``BENCH_<suite>.json``: wall/CPU time, peak RSS and the trace sha256.
+* :mod:`repro.bench.schema`  — the versioned artifact layout and its
+  validator.
+* :mod:`repro.bench.check`   — the regression gate: trace-sha256 equality
+  and a ``cpu_s`` slowdown bound against a baseline artifact.
+* :mod:`repro.bench.report`  — every ``BENCH_*.json`` in a directory as
+  one markdown table.
+* :mod:`repro.bench.traceid` — canonical trace hashing.
 
-* :mod:`repro.bench.suites`   — declarative suite configs (a suite is a
-  list of named runs, each a ``ScenarioConfig`` override dict plus a
-  repetition count; built-ins ``smoke``/``default``, JSON-loadable).
-* :mod:`repro.bench.runner`   — a resumable runner: executes points,
-  skips already-completed ones via an on-disk journal, samples per-run
-  CPU/RSS/wall time and emits a versioned ``BENCH_<suite>.json``.
-* :mod:`repro.bench.sampler`  — resource sampling with a psutil backend
-  when available and ``resource``/``/proc`` fallbacks so the
-  dependency-free lane still works.
-* :mod:`repro.bench.report`   — consolidates every ``BENCH_*.json``
-  into a cross-PR markdown/JSON trend table.
-* :mod:`repro.bench.check`    — the regression gate: fails on
-  configurable slowdowns against a baseline artifact and on
-  trace-sha256 divergence (a determinism regression).
-* :mod:`repro.bench.recorder` — lets the pytest benchmarks record their
-  measured ratios into the same artifact format.
-
-CLI: ``repro bench run|report|check|list``.
+CLI: ``repro bench run|check|report``.
 """
-
-from repro.bench.check import CheckReport, compare_artifacts
-from repro.bench.journal import Journal
-from repro.bench.recorder import BenchRecorder
-from repro.bench.report import consolidate, render_markdown
-from repro.bench.runner import run_suite
-from repro.bench.sampler import ResourceSampler, SampleResult
-from repro.bench.schema import (
-    SCHEMA_VERSION,
-    BenchSchemaError,
-    dump_artifact,
-    load_artifact,
-    new_artifact,
-    validate_artifact,
-)
-from repro.bench.suites import BenchRun, BenchSuite, builtin_suite_names, load_suite
-from repro.bench.traceid import trace_lines, trace_sha256
-
-__all__ = [
-    "BenchRecorder",
-    "BenchRun",
-    "BenchSchemaError",
-    "BenchSuite",
-    "CheckReport",
-    "Journal",
-    "ResourceSampler",
-    "SCHEMA_VERSION",
-    "SampleResult",
-    "builtin_suite_names",
-    "compare_artifacts",
-    "consolidate",
-    "dump_artifact",
-    "load_artifact",
-    "new_artifact",
-    "render_markdown",
-    "run_suite",
-    "trace_lines",
-    "trace_sha256",
-    "validate_artifact",
-]

@@ -3,11 +3,11 @@
 Compares a current artifact against a baseline on their shared
 ``(run, repetition)`` keys with two independent checks:
 
-* **slowdown** — a timing metric (``cpu_s`` by default; wall time is
-  noisier) may grow by at most ``threshold`` relative to the baseline
-  (``0.5`` = fail beyond 1.5x).  Points whose baseline *and* current
-  values both sit under ``min_seconds`` are skipped — a 5 ms point
-  doubling is measurement noise, not a regression.
+* **slowdown** — ``cpu_s`` (wall time is noisier) may grow by at most
+  ``threshold`` relative to the baseline (``0.5`` = fail beyond 1.5x).
+  Points whose baseline *and* current values both sit under
+  :data:`MIN_SECONDS` are skipped — a 5 ms point doubling is
+  measurement noise, not a regression.
 * **trace divergence** — shared runs whose configs match must carry
   identical ``trace_sha256``.  Unlike timings this comparison is exact
   and host-independent: a mismatch means the simulation itself changed
@@ -30,8 +30,10 @@ from repro.bench.schema import runs_by_key
 
 #: Default allowed relative slowdown (0.5 == fail beyond 1.5x).
 DEFAULT_THRESHOLD = 0.5
+#: The timing metric the gate judges.
+METRIC = "cpu_s"
 #: Points faster than this in both artifacts are never judged.
-DEFAULT_MIN_SECONDS = 0.05
+MIN_SECONDS = 0.05
 
 
 @dataclass
@@ -54,7 +56,6 @@ class CheckEntry:
 class CheckReport:
     """The gate's verdict over every shared point."""
 
-    metric: str
     threshold: float
     entries: List[CheckEntry] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
@@ -73,7 +74,7 @@ class CheckReport:
 
     def render(self) -> str:
         lines = [
-            f"bench check: metric={self.metric} threshold=+{self.threshold * 100:.0f}%"
+            f"bench check: metric={METRIC} threshold=+{self.threshold * 100:.0f}%"
         ]
         for note in self.notes:
             lines.append(f"note: {note}")
@@ -111,16 +112,13 @@ def _ratio(entry: CheckEntry) -> float:
 def compare_artifacts(
     current: Dict[str, Any],
     baseline: Dict[str, Any],
-    metric: str = "cpu_s",
     threshold: float = DEFAULT_THRESHOLD,
-    min_seconds: float = DEFAULT_MIN_SECONDS,
-    check_traces: bool = True,
 ) -> CheckReport:
     """Gate ``current`` against ``baseline`` (both validated artifact
     dicts); returns a :class:`CheckReport` whose ``ok`` decides CI."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    report = CheckReport(metric=metric, threshold=threshold)
+    report = CheckReport(threshold=threshold)
     cur_host = current.get("host", {}).get("fingerprint")
     base_host = baseline.get("host", {}).get("fingerprint")
     if cur_host != base_host:
@@ -142,36 +140,25 @@ def compare_artifacts(
                 )
             )
             continue
-        if check_traces:
-            base_sha, cur_sha = base["trace_sha256"], cur["trace_sha256"]
-            if base_sha and cur_sha and base_sha != cur_sha:
-                report.entries.append(
-                    CheckEntry(
-                        name, repetition, "trace-mismatch",
-                        detail=f"trace sha256 diverged ({base_sha[:12]} -> "
-                        f"{cur_sha[:12]}): behaviour changed for a fixed seed "
-                        "— re-baseline deliberately or fix the determinism bug",
-                    )
-                )
-                continue
-        base_value = base["metrics"].get(metric)
-        cur_value = cur["metrics"].get(metric)
-        if base_value is None or cur_value is None:
+        base_sha, cur_sha = base["trace_sha256"], cur["trace_sha256"]
+        if base_sha != cur_sha:
             report.entries.append(
                 CheckEntry(
-                    name, repetition, "skipped-small",
-                    detail=f"metric {metric!r} absent from one side",
+                    name, repetition, "trace-mismatch",
+                    detail=f"trace sha256 diverged ({base_sha[:12]} -> "
+                    f"{cur_sha[:12]}): behaviour changed for a fixed seed "
+                    "— re-baseline deliberately or fix the determinism bug",
                 )
             )
             continue
+        base_value = float(base["metrics"][METRIC])
+        cur_value = float(cur["metrics"][METRIC])
         entry = CheckEntry(
-            name, repetition, "ok", baseline=float(base_value), current=float(cur_value)
+            name, repetition, "ok", baseline=base_value, current=cur_value
         )
-        if base_value < min_seconds and cur_value < min_seconds:
+        if base_value < MIN_SECONDS and cur_value < MIN_SECONDS:
             entry.status = "skipped-small"
-            entry.detail = (
-                f"both under min_seconds={min_seconds}: too small to judge"
-            )
+            entry.detail = f"both under {MIN_SECONDS} s: too small to judge"
         elif base_value > 0 and cur_value > base_value * (1.0 + threshold):
             entry.status = "slow"
         report.entries.append(entry)

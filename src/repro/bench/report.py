@@ -1,23 +1,20 @@
 """The cross-PR trajectory report.
 
-Consolidates every ``BENCH_*.json`` in a directory into one trend
-table: suite → run → repetition with timings, memory, the domain
-counters and the trace digest.  Output is markdown (for humans and PR
-descriptions) or JSON (for tooling); both orderings are fully
-deterministic — artifacts sort by ``(suite, filename)``, runs by
-``(name, repetition)`` — so the report itself can be golden-tested.
+Consolidates every ``BENCH_*.json`` in a directory into one markdown
+trend table: suite → run → repetition with timings, memory, the domain
+counters and the trace digest.  The ordering is fully deterministic —
+artifacts sort by ``(suite, filename)``, runs by ``(name, repetition)``
+— so the report itself can be golden-tested.
 
-Requested-but-absent suites (``--suites a,b``) are reported as missing
-rather than silently dropped, and files matching the glob that fail
-schema validation land in a trailing "skipped" section: a trajectory
-that quietly loses a point is worse than no trajectory.
+Files that fail schema validation land in a trailing "skipped" section
+rather than being silently dropped: a trajectory that quietly loses a
+point is worse than no trajectory.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
 from repro.bench.schema import BenchSchemaError, load_artifact
 
@@ -25,20 +22,15 @@ from repro.bench.schema import BenchSchemaError, load_artifact
 TABLE_METRICS = ("wall_s", "cpu_s", "max_rss_kb", "disseminations", "delivery_ratio")
 
 
-def consolidate(
-    directory: Path,
-    pattern: str = "BENCH_*.json",
-    suites: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
-    """Load every artifact under ``directory`` matching ``pattern``.
+def consolidate(directory: Path) -> Dict[str, Any]:
+    """Load every ``BENCH_*.json`` artifact under ``directory``.
 
-    Returns ``{"artifacts": [...], "missing_suites": [...],
-    "skipped": [...]}`` with deterministic ordering throughout.
+    Returns ``{"artifacts": [...], "skipped": [...]}`` with
+    deterministic ordering throughout.
     """
-    directory = Path(directory)
     artifacts: List[Dict[str, Any]] = []
     skipped: List[Dict[str, str]] = []
-    for path in sorted(directory.glob(pattern)):
+    for path in sorted(Path(directory).glob("BENCH_*.json")):
         try:
             data = load_artifact(path)
         except BenchSchemaError as exc:
@@ -58,23 +50,14 @@ def consolidate(
             }
         )
     artifacts.sort(key=lambda item: (item["suite"], item["path"]))
-    present = {item["suite"] for item in artifacts}
-    if suites is not None:
-        wanted = list(suites)
-        artifacts = [item for item in artifacts if item["suite"] in set(wanted)]
-        missing = [name for name in wanted if name not in present]
-    else:
-        missing = []
-    return {"artifacts": artifacts, "missing_suites": missing, "skipped": skipped}
+    return {"artifacts": artifacts, "skipped": skipped}
 
 
 def _metric_cell(metrics: Dict[str, float], key: str) -> str:
     value = metrics.get(key)
     if value is None:
         return "-"
-    if key in ("wall_s", "cpu_s"):
-        return f"{value:.3f}"
-    if key == "delivery_ratio":
+    if key in ("wall_s", "cpu_s", "delivery_ratio"):
         return f"{value:.3f}"
     return f"{value:.0f}"
 
@@ -99,16 +82,10 @@ def render_markdown(consolidated: Dict[str, Any]) -> str:
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
         for run in item["runs"]:
-            sha = run.get("trace_sha256")
             cells = [run["name"], str(run["repetition"])]
             cells += [_metric_cell(run["metrics"], key) for key in TABLE_METRICS]
-            cells.append(sha[:12] if sha else "-")
+            cells.append(run["trace_sha256"][:12])
             lines.append("| " + " | ".join(cells) + " |")
-        lines.append("")
-    for suite in consolidated["missing_suites"]:
-        lines.append(f"## suite `{suite}` — missing")
-        lines.append("")
-        lines.append("No `BENCH_*.json` artifact found for this suite.")
         lines.append("")
     if consolidated["skipped"]:
         lines.append("## skipped files")
@@ -118,7 +95,3 @@ def render_markdown(consolidated: Dict[str, Any]) -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-def render_json(consolidated: Dict[str, Any]) -> str:
-    """The JSON trend report (sorted keys, trailing newline)."""
-    return json.dumps(consolidated, indent=2, sort_keys=True) + "\n"

@@ -1,33 +1,34 @@
-"""The resumable suite runner.
+"""The suite runner.
 
-Executes every ``(run, repetition)`` point of a suite that the journal
-does not already hold, sampling CPU/RSS/wall time per point and hashing
-the run's full trace stream, then assembles the versioned
-``BENCH_<suite>.json`` artifact.  Interrupt it anywhere; rerunning
-skips the completed points and produces the identical artifact content
-(modulo timings and the informational environment blocks).
+Executes every ``(run, repetition)`` point of a suite, measuring wall
+time, CPU time and peak RSS per point and hashing the run's full trace
+stream, then writes the versioned ``BENCH_<suite>.json`` artifact.
 
 Each point is measured on a freshly built
 :class:`~repro.experiments.gainesville.GainesvilleStudy`, so the wall
 and CPU readings cover world construction *and* the simulation run —
 the same cost a user pays for ``repro study`` with that config.
+``max_rss_kb`` is the *process* peak (``getrusage``), monotone over the
+process lifetime: comparable across fresh CLI invocations, not across
+points inside one process.
 """
 
 from __future__ import annotations
 
+import resource
+import sys
+import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
 
 from repro.bench import schema
-from repro.bench.journal import Journal
-from repro.bench.sampler import ResourceSampler
-from repro.bench.suites import BenchSuite, scenario_config
+from repro.bench.suites import SUITES, scenario_config
 from repro.bench.traceid import trace_sha256
 
 
 class BenchRunError(RuntimeError):
-    """A suite execution violated a bench contract (e.g. two
-    repetitions of one run diverged — a determinism regression)."""
+    """Two repetitions of one run produced different traces — a
+    determinism regression."""
 
 
 def _domain_metrics(result) -> Dict[str, float]:
@@ -60,87 +61,73 @@ def _medium_metrics(medium) -> Dict[str, float]:
     return out
 
 
-def run_point(config_overrides: Dict[str, Any], backend: Optional[str] = None):
-    """Build + run one scenario under the sampler.
+def _max_rss_kb() -> float:
+    """The process's peak RSS in KiB (``ru_maxrss`` is KiB on Linux and
+    bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return float(peak // 1024 if sys.platform == "darwin" else peak)
+
+
+def run_point(config_overrides: Dict[str, Any]):
+    """Build + run one scenario.
 
     Returns ``(metrics, trace_sha)`` — the artifact fragments for one
-    journal entry.
+    run entry.
     """
     from repro.experiments.gainesville import GainesvilleStudy
 
     config = scenario_config(config_overrides)
-    with ResourceSampler(backend=backend) as sampler:
-        study = GainesvilleStudy(config)
-        result = study.run()
-    metrics = sampler.result.metrics()
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    study = GainesvilleStudy(config)
+    result = study.run()
+    metrics: Dict[str, float] = {
+        "wall_s": round(time.perf_counter() - wall0, 6),
+        "cpu_s": round(time.process_time() - cpu0, 6),
+        "max_rss_kb": _max_rss_kb(),
+    }
     metrics.update(_domain_metrics(result))
     metrics.update(_medium_metrics(study.medium))
     return metrics, trace_sha256(study.sim)
 
 
 def run_suite(
-    suite: BenchSuite,
-    journal_dir: Path,
+    suite: str,
     out_path: Optional[Path] = None,
-    fresh: bool = False,
-    backend: Optional[str] = None,
     log: Optional[Callable[[str], None]] = None,
-    repo_root: Optional[Path] = None,
 ) -> Dict[str, Any]:
-    """Run ``suite`` resumably and write ``BENCH_<suite>.json``.
+    """Run every point of the built-in ``suite`` and write its artifact.
 
     Returns the artifact dict.  ``out_path`` defaults to
-    ``BENCH_<suite>.json`` in the current directory; ``fresh`` discards
-    the journal first; ``backend`` pins the sampler memory backend.
+    ``BENCH_<suite>.json`` in the current directory.
     """
     emit = log or (lambda message: None)
-    suite.validate_configs()
-    journal = Journal(Path(journal_dir), suite.name)
-    if fresh:
-        journal.clear()
-    sampler_backend = ResourceSampler(backend=backend).backend
-    total = sum(run.repetitions for run in suite.runs)
+    runs = SUITES[suite]
+    total = sum(run.repetitions for run in runs)
     done = 0
-    shas_by_run: Dict[str, str] = {}
     entries = []
-    for run in suite.runs:
+    for run in runs:
+        first_sha: Optional[str] = None
         for repetition in range(run.repetitions):
             done += 1
-            cached = journal.completed(run.name, repetition, run.config)
-            if cached is not None:
-                emit(f"[{done}/{total}] {run.name}#{repetition}: journaled, skipping")
-                entry = cached
-            else:
-                emit(f"[{done}/{total}] {run.name}#{repetition}: running...")
-                metrics, sha = run_point(run.config, backend=backend)
-                entry = journal.record(run.name, repetition, run.config, metrics, sha)
-                emit(
-                    f"[{done}/{total}] {run.name}#{repetition}: "
-                    f"wall={metrics['wall_s']:.2f}s cpu={metrics['cpu_s']:.2f}s "
-                    f"trace={sha[:12]}"
-                )
-            sha = entry["trace_sha256"]
-            previous = shas_by_run.setdefault(run.name, sha)
-            if previous != sha:
+            emit(f"[{done}/{total}] {run.name}#{repetition}: running...")
+            metrics, sha = run_point(run.config)
+            emit(
+                f"[{done}/{total}] {run.name}#{repetition}: "
+                f"wall={metrics['wall_s']:.2f}s cpu={metrics['cpu_s']:.2f}s "
+                f"trace={sha[:12]}"
+            )
+            first_sha = first_sha or sha
+            if sha != first_sha:
                 raise BenchRunError(
                     f"run {run.name!r} produced different traces across "
-                    f"repetitions ({previous[:12]} vs {sha[:12]}) — "
-                    "determinism regression; journal kept at "
-                    f"{journal.path} for inspection"
+                    f"repetitions ({first_sha[:12]} vs {sha[:12]}) — "
+                    "determinism regression"
                 )
             entries.append(
-                schema.make_run_entry(
-                    run.name,
-                    repetition,
-                    entry["config"],
-                    entry["metrics"],
-                    entry["trace_sha256"],
-                )
+                schema.make_run_entry(run.name, repetition, run.config, metrics, sha)
             )
-    artifact = schema.new_artifact(
-        suite.name, runs=entries, sampler=sampler_backend, repo_root=repo_root
-    )
-    destination = Path(out_path) if out_path else Path(f"BENCH_{suite.name}.json")
+    artifact = schema.new_artifact(suite, runs=entries)
+    destination = Path(out_path) if out_path else Path(f"BENCH_{suite}.json")
     schema.dump_artifact(artifact, destination)
     emit(f"wrote {destination} ({len(entries)} runs)")
     return artifact

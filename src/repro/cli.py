@@ -12,11 +12,10 @@ writing any code:
   sanity checks before paying for a large run),
 * ``lint`` — the determinism / simulation-hygiene static-analysis suite
   (``--strict`` is the CI lane),
-* ``bench`` — benchmark orchestration: ``run`` a declarative suite into
-  a ``BENCH_<suite>.json`` trajectory artifact (resumable via an
-  on-disk journal), ``report`` the cross-PR trend table, ``check`` a
-  new artifact against a committed baseline (the regression gate), and
-  ``list`` the available suites.
+* ``bench`` — the trace-sha gate: ``run`` a built-in suite (``smoke``
+  or ``default``) into a ``BENCH_<suite>.json`` artifact, ``check`` it
+  against a committed baseline (trace-sha256 equality plus a ``cpu_s``
+  bound), and ``report`` every artifact in a directory as one table.
 """
 
 from __future__ import annotations
@@ -264,52 +263,24 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench.runner import BenchRunError, run_suite
-    from repro.bench.suites import SuiteError, load_suite
 
-    try:
-        suite = load_suite(
-            args.suite, Path(args.suite_file) if args.suite_file else None
-        )
-    except SuiteError as exc:
-        print(f"bench run: {exc}", file=sys.stderr)
-        return 2
-    journal_dir = Path(args.journal) if args.journal else Path(".bench") / suite.name
-    out_path = Path(args.out) if args.out else None
     try:
         run_suite(
-            suite,
-            journal_dir=journal_dir,
-            out_path=out_path,
-            fresh=args.fresh,
-            backend=args.sampler,
+            args.suite,
+            out_path=args.out,
             log=lambda message: print(message, file=sys.stderr),
         )
-    except (BenchRunError, SuiteError) as exc:
+    except BenchRunError as exc:
         print(f"bench run: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from repro.bench.report import consolidate, render_markdown
 
-    from repro.bench.report import consolidate, render_json, render_markdown
-
-    suites = args.suites.split(",") if args.suites else None
-    consolidated = consolidate(Path(args.dir), pattern=args.glob, suites=suites)
-    rendered = (
-        render_json(consolidated)
-        if args.format == "json"
-        else render_markdown(consolidated)
-    )
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        print(f"wrote {args.out}", file=sys.stderr)
-    else:
-        print(rendered, end="" if rendered.endswith("\n") else "\n")
+    print(render_markdown(consolidate(args.dir)), end="")
     return 0
 
 
@@ -323,61 +294,24 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
     except BenchSchemaError as exc:
         print(f"bench check: {exc}", file=sys.stderr)
         return 2
-    report = compare_artifacts(
-        current,
-        baseline,
-        metric=args.metric,
-        threshold=args.threshold,
-        min_seconds=args.min_seconds,
-        check_traces=not args.no_trace_check,
-    )
+    report = compare_artifacts(current, baseline, threshold=args.threshold)
     print(report.render())
     return 0 if report.ok else 1
 
 
-def cmd_bench_list(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.suites import SuiteError, builtin_suite_names, load_suite
-
-    if args.suite_file:
-        try:
-            suites = [load_suite("", Path(args.suite_file))]
-        except SuiteError as exc:
-            print(f"bench list: {exc}", file=sys.stderr)
-            return 2
-    else:
-        suites = [load_suite(name) for name in builtin_suite_names()]
-    for suite in suites:
-        points = sum(run.repetitions for run in suite.runs)
-        print(f"{suite.name}: {suite.description} ({points} points)")
-        for run in suite.runs:
-            overrides = ", ".join(
-                f"{key}={value}" for key, value in sorted(run.config.items())
-            ) or "(defaults)"
-            print(f"  {run.name} x{run.repetitions}: {overrides}")
-    return 0
-
-
 def _add_bench_parsers(sub) -> None:
+    from repro.bench.suites import SUITES
+
     bench = sub.add_parser(
         "bench",
-        help="benchmark orchestration: run declarative suites into "
-        "BENCH_<suite>.json artifacts, report the cross-PR trajectory, "
-        "gate against a baseline",
+        help="the trace-sha gate: run a built-in suite into "
+        "BENCH_<suite>.json, check it against a baseline, report artifacts",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
 
-    run = bench_sub.add_parser(
-        "run", help="execute a suite resumably and emit BENCH_<suite>.json"
-    )
-    run.add_argument("--suite", default="smoke", help="suite name (see 'bench list')")
+    run = bench_sub.add_parser("run", help="run a suite and emit BENCH_<suite>.json")
     run.add_argument(
-        "--suite-file",
-        default=None,
-        metavar="JSON",
-        help="load the suite definition from a JSON file instead of the "
-        "built-in registry",
+        "--suite", choices=sorted(SUITES), default="smoke", help="built-in suite"
     )
     run.add_argument(
         "--out",
@@ -386,86 +320,33 @@ def _add_bench_parsers(sub) -> None:
         help="artifact destination (default: BENCH_<suite>.json in the "
         "current directory)",
     )
-    run.add_argument(
-        "--journal",
-        default=None,
-        metavar="DIR",
-        help="journal directory for resume (default: .bench/<suite>); "
-        "completed points found here are skipped",
-    )
-    run.add_argument(
-        "--fresh",
-        action="store_true",
-        help="discard the journal and re-run every point",
-    )
-    run.add_argument(
-        "--sampler",
-        choices=("psutil", "proc", "resource", "none"),
-        default=None,
-        help="pin the memory sampling backend (default: auto-detect)",
-    )
     run.set_defaults(func=cmd_bench_run)
 
     report = bench_sub.add_parser(
-        "report", help="consolidate BENCH_*.json files into a trend table"
+        "report", help="every BENCH_*.json in a directory as one markdown table"
     )
     report.add_argument(
         "--dir", default=".", help="directory holding the artifacts (default: .)"
     )
-    report.add_argument(
-        "--glob", default="BENCH_*.json", help="artifact filename pattern"
-    )
-    report.add_argument(
-        "--suites",
-        default=None,
-        help="comma-separated suite names to include; named suites with "
-        "no artifact are reported as missing",
-    )
-    report.add_argument(
-        "--format", choices=("md", "json"), default="md", help="output format"
-    )
-    report.add_argument(
-        "--out", default=None, metavar="PATH", help="write to a file instead of stdout"
-    )
     report.set_defaults(func=cmd_bench_report)
 
     check = bench_sub.add_parser(
-        "check", help="regression gate: compare an artifact against a baseline"
+        "check",
+        help="regression gate: trace-sha256 equality and a cpu_s bound "
+        "against a baseline",
     )
     check.add_argument("current", help="the freshly produced BENCH_*.json")
     check.add_argument(
         "--against", required=True, metavar="BASELINE", help="the baseline artifact"
     )
     check.add_argument(
-        "--metric",
-        default="cpu_s",
-        help="timing metric to judge (default: cpu_s — wall_s is noisier)",
-    )
-    check.add_argument(
         "--threshold",
         type=float,
         default=0.5,
-        help="allowed relative slowdown (0.5 = fail beyond 1.5x; default 0.5)",
-    )
-    check.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.05,
-        help="skip points under this duration in both artifacts (noise floor)",
-    )
-    check.add_argument(
-        "--no-trace-check",
-        action="store_true",
-        help="skip the trace-sha256 equality check (only while deliberately "
-        "re-baselining behaviour)",
+        help="allowed relative cpu_s slowdown (0.5 = fail beyond 1.5x; "
+        "default 0.5)",
     )
     check.set_defaults(func=cmd_bench_check)
-
-    listing = bench_sub.add_parser("list", help="list suites and their points")
-    listing.add_argument(
-        "--suite-file", default=None, metavar="JSON", help="describe a suite file"
-    )
-    listing.set_defaults(func=cmd_bench_list)
 
 
 def build_parser() -> argparse.ArgumentParser:

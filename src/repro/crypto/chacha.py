@@ -20,7 +20,8 @@ hot path.  This version:
 * **vectorises the block function with numpy** when a request spans
   enough blocks to amortise array setup — the 20 rounds run across all
   block counters at once, mirroring the ``SpatialHashIndex`` pair-sweep
-  fast path (pure-Python fallback when numpy is unavailable),
+  fast path (shorter requests stay on the scalar path, which is faster
+  below :data:`_NUMPY_BLOCK_MIN` blocks),
 * XORs **whole buffers as big integers** (``int.from_bytes``), which is
   C-speed for any payload size.
 
@@ -32,10 +33,7 @@ from __future__ import annotations
 
 import struct
 
-try:  # pragma: no cover - exercised indirectly by the equivalence tests
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+import numpy as np
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
 _MASK32 = 0xFFFFFFFF
@@ -112,12 +110,11 @@ class ChaCha20:
     def _chunk(self, counter: int, nblocks: int) -> bytes:
         """``nblocks`` consecutive keystream blocks starting at ``counter``
         (counters wrap at 2**32, matching the scalar stream)."""
-        if _np is not None and nblocks >= _NUMPY_BLOCK_MIN:
+        if nblocks >= _NUMPY_BLOCK_MIN:
             return self._chunk_numpy(counter, nblocks)
         return b"".join(self._block((counter + i) & _MASK32) for i in range(nblocks))
 
     def _chunk_numpy(self, counter: int, nblocks: int) -> bytes:
-        np = _np
         state = np.empty((16, nblocks), dtype=np.uint32)
         for row, word in enumerate(_CONSTANTS):
             state[row] = word

@@ -23,12 +23,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
-from repro.geo.point import Point
+import numpy as np
 
-try:  # optional acceleration for the whole-population pair sweep
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
+from repro.geo.point import Point
 
 #: Below this population the pure-Python sweep beats numpy's fixed setup
 #: cost (array building, sorts) per tick.
@@ -178,7 +175,7 @@ class SpatialHashIndex:
             return []
         if reach_of is not None and max(reach_of.values(), default=0.0) > radius:
             raise ValueError("reach_of values must not exceed the sweep radius")
-        if _np is not None and len(self._positions) >= _NUMPY_SWEEP_MIN:
+        if len(self._positions) >= _NUMPY_SWEEP_MIN:
             return self._pairs_within_numpy(radius, reach_of)
         r2 = radius * radius
         span = int(math.ceil(radius / self.cell_size))
@@ -250,7 +247,6 @@ class SpatialHashIndex:
         incrementally maintained buckets bit for bit; distances are plain
         float64 subtract/multiply/add, identical to the Python loop.
         """
-        np = _np
         positions = self._positions
         n = len(positions)
         xs = np.empty(n, dtype=np.float64)

@@ -1,7 +1,7 @@
-"""Journal resume semantics, the suite runner, and sampler fallback.
+"""The suite runner, the built-in suites, and one tiny real point.
 
-The resume tests drive :func:`run_suite` with a stubbed ``run_point`` so
-they exercise the orchestration (journal skip/invalidate, divergence
+The orchestration tests drive :func:`run_suite` with a stubbed
+``run_point`` so they exercise it (every point runs, divergence
 detection, artifact assembly) without paying for real simulations; one
 integration test at the bottom runs a genuinely tiny world end to end.
 """
@@ -9,282 +9,114 @@ integration test at the bottom runs a genuinely tiny world end to end.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench import runner as runner_module
-from repro.bench import sampler as sampler_module
-from repro.bench.journal import Journal, stale_keys
+from repro.bench import suites as suites_module
 from repro.bench.runner import BenchRunError, run_suite
-from repro.bench.sampler import BACKENDS, ResourceSampler, detect_backend
 from repro.bench.schema import validate_artifact
-from repro.bench.suites import BenchSuite, SuiteError, load_suite
+from repro.bench.suites import SUITES, BenchRun
 
 SHA_A = "ab" * 32
 SHA_B = "cd" * 32
 
-
-def _suite(name="unit", reps_a=2):
-    return BenchSuite.from_dict(
-        {
-            "suite": name,
-            "runs": [
-                {
-                    "name": "point_a",
-                    "repetitions": reps_a,
-                    "config": {"duration_days": 1, "total_posts": 5},
-                },
-                {
-                    "name": "point_b",
-                    "repetitions": 1,
-                    "config": {"duration_days": 1, "total_posts": 5, "seed": 9},
-                },
-            ],
-        }
-    )
+UNIT = (
+    BenchRun("point_a", {"duration_days": 1, "total_posts": 5}, repetitions=2),
+    BenchRun("point_b", {"duration_days": 1, "total_posts": 5, "seed": 9}),
+)
 
 
-def _install_fake_point(monkeypatch, calls, cpu_s=0.25, sha=SHA_A, boom_at=None):
-    """Replace run_point with a recorder; ``boom_at`` simulates a kill
-    (KeyboardInterrupt) on the Nth call (1-based)."""
+@pytest.fixture
+def unit_suite(monkeypatch):
+    monkeypatch.setitem(suites_module.SUITES, "unit", UNIT)
+    return "unit"
 
-    def fake(config, backend=None):
+
+def _install_fake_point(monkeypatch, calls, shas=None):
+    """Replace run_point with a recorder returning ``shas`` in turn."""
+    shas = iter(shas or [SHA_A] * 3)
+
+    def fake(config):
         calls.append(dict(config))
-        if boom_at is not None and len(calls) == boom_at:
-            raise KeyboardInterrupt
-        return {"wall_s": cpu_s, "cpu_s": cpu_s}, sha
+        return {"wall_s": 0.25, "cpu_s": 0.25}, next(shas)
 
     monkeypatch.setattr(runner_module, "run_point", fake)
 
 
-class TestResume:
-    def test_full_run_journals_every_point(self, tmp_path, monkeypatch):
+class TestRunnerContracts:
+    def test_runs_every_point(self, tmp_path, monkeypatch, unit_suite):
         calls = []
         _install_fake_point(monkeypatch, calls)
         out = tmp_path / "BENCH_unit.json"
-        artifact = run_suite(_suite(), tmp_path / "journal", out_path=out)
-        assert len(calls) == 3
-        validate_artifact(artifact)
-        assert out.exists()
-        assert len(Journal(tmp_path / "journal", "unit")) == 3
+        artifact = run_suite(unit_suite, out_path=out)
+        assert calls == [UNIT[0].config, UNIT[0].config, UNIT[1].config]
+        assert [(run["name"], run["repetition"]) for run in artifact["runs"]] == [
+            ("point_a", 0),
+            ("point_a", 1),
+            ("point_b", 0),
+        ]
+        assert json.loads(out.read_text()) == artifact
 
-    def test_rerun_skips_completed_points_with_identical_results(
-        self, tmp_path, monkeypatch
-    ):
-        first_calls = []
-        _install_fake_point(monkeypatch, first_calls, cpu_s=0.111)
-        first = run_suite(_suite(), tmp_path / "journal", out_path=tmp_path / "a.json")
-
-        second_calls = []
-        # Were the points re-executed they would record 0.999 — the
-        # artifact keeping 0.111 proves the journal supplied them.
-        _install_fake_point(monkeypatch, second_calls, cpu_s=0.999)
-        second = run_suite(_suite(), tmp_path / "journal", out_path=tmp_path / "b.json")
-        assert second_calls == []
-        assert second["runs"] == first["runs"]
-
-    def test_kill_mid_suite_then_resume_runs_only_the_remainder(
-        self, tmp_path, monkeypatch
-    ):
-        calls = []
-        _install_fake_point(monkeypatch, calls, cpu_s=0.111, boom_at=2)
-        with pytest.raises(KeyboardInterrupt):
-            run_suite(_suite(), tmp_path / "journal", out_path=tmp_path / "a.json")
-        assert len(Journal(tmp_path / "journal", "unit")) == 1
-
-        resumed_calls = []
-        _install_fake_point(monkeypatch, resumed_calls, cpu_s=0.222)
-        artifact = run_suite(
-            _suite(), tmp_path / "journal", out_path=tmp_path / "b.json"
-        )
-        # Only the two unfinished points ran; the survivor kept its
-        # pre-kill measurement.
-        assert len(resumed_calls) == 2
-        by_key = {(run["name"], run["repetition"]): run for run in artifact["runs"]}
-        assert by_key[("point_a", 0)]["metrics"]["cpu_s"] == 0.111
-        assert by_key[("point_a", 1)]["metrics"]["cpu_s"] == 0.222
-        assert by_key[("point_b", 0)]["metrics"]["cpu_s"] == 0.222
-
-    def test_config_change_invalidates_stale_journal_entries(
-        self, tmp_path, monkeypatch
-    ):
-        calls = []
-        _install_fake_point(monkeypatch, calls)
-        run_suite(_suite(), tmp_path / "journal", out_path=tmp_path / "a.json")
-
-        changed = BenchSuite.from_dict(
-            {
-                "suite": "unit",
-                "runs": [
-                    {
-                        "name": "point_a",
-                        "repetitions": 2,
-                        # total_posts changed: the journaled worlds no
-                        # longer match this definition.
-                        "config": {"duration_days": 1, "total_posts": 7},
-                    },
-                    {
-                        "name": "point_b",
-                        "repetitions": 1,
-                        "config": {"duration_days": 1, "total_posts": 5, "seed": 9},
-                    },
-                ],
-            }
-        )
-        rerun_calls = []
-        _install_fake_point(monkeypatch, rerun_calls)
-        run_suite(changed, tmp_path / "journal", out_path=tmp_path / "b.json")
-        assert len(rerun_calls) == 2  # point_a x2 reran; point_b skipped
-
-    def test_fresh_discards_the_journal(self, tmp_path, monkeypatch):
-        calls = []
-        _install_fake_point(monkeypatch, calls)
-        run_suite(_suite(), tmp_path / "journal", out_path=tmp_path / "a.json")
-        rerun_calls = []
-        _install_fake_point(monkeypatch, rerun_calls)
-        run_suite(
-            _suite(), tmp_path / "journal", out_path=tmp_path / "b.json", fresh=True
-        )
-        assert len(rerun_calls) == 3
-
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        journal = Journal(tmp_path, "unit")
-        journal.record("point_a", 0, {"x": 1}, {"cpu_s": 0.1}, SHA_A)
-        with open(journal.path, "a", encoding="utf-8") as handle:
-            handle.write('{"suite": "unit", "name": "point_a", "repet')
-        reloaded = Journal(tmp_path, "unit")
-        assert len(reloaded) == 1
-        assert reloaded.completed("point_a", 0, {"x": 1}) is not None
-
-    def test_foreign_suite_lines_are_ignored(self, tmp_path):
-        Journal(tmp_path, "other").record("point_a", 0, {}, {"cpu_s": 0.1}, SHA_A)
-        assert len(Journal(tmp_path, "unit")) == 0
-
-    def test_stale_keys_names_orphaned_entries(self, tmp_path):
-        journal = Journal(tmp_path, "unit")
-        journal.record("gone", 0, {}, {"cpu_s": 0.1}, SHA_A)
-        journal.record("kept", 0, {}, {"cpu_s": 0.1}, SHA_A)
-        assert stale_keys(journal, [("kept", 0)]) == [("gone", 0)]
-
-
-class TestRunnerContracts:
-    def test_repetition_divergence_raises(self, tmp_path, monkeypatch):
-        shas = iter([SHA_A, SHA_B, SHA_A])
-
-        def fake(config, backend=None):
-            return {"wall_s": 0.1, "cpu_s": 0.1}, next(shas)
-
-        monkeypatch.setattr(runner_module, "run_point", fake)
+    def test_repetition_divergence_raises(self, tmp_path, monkeypatch, unit_suite):
+        _install_fake_point(monkeypatch, [], shas=[SHA_A, SHA_B, SHA_A])
         with pytest.raises(BenchRunError, match="different traces"):
-            run_suite(_suite(), tmp_path / "journal", out_path=tmp_path / "a.json")
-
-    def test_unknown_config_field_rejected_before_any_run(
-        self, tmp_path, monkeypatch
-    ):
-        calls = []
-        _install_fake_point(monkeypatch, calls)
-        bad = BenchSuite.from_dict(
-            {
-                "suite": "unit",
-                "runs": [{"name": "p", "config": {"warp_factor": 9}}],
-            }
-        )
-        with pytest.raises(SuiteError, match="warp_factor"):
-            run_suite(bad, tmp_path / "journal", out_path=tmp_path / "a.json")
-        assert calls == []
+            run_suite(unit_suite, out_path=tmp_path / "a.json")
+        assert not (tmp_path / "a.json").exists()
 
     def test_builtin_smoke_is_subset_of_default(self):
         """The design rule the CI gate depends on: every smoke point
         exists in the default suite with an identical config."""
-        smoke = {run.name: run for run in load_suite("smoke").runs}
-        default = {run.name: run for run in load_suite("default").runs}
+        smoke = {run.name: run for run in SUITES["smoke"]}
+        default = {run.name: run for run in SUITES["default"]}
         assert set(smoke) < set(default)
         for name, run in smoke.items():
             assert default[name].config == run.config
             assert default[name].repetitions == run.repetitions
 
-
-class TestSamplerFallback:
-    def test_psutil_is_absent_in_this_environment(self):
-        """The repo's no-new-deps rule means the fallback path is the
-        one CI actually exercises; make that explicit."""
-        assert not sampler_module._psutil_available()
-        assert detect_backend() in ("proc", "resource", "none")
-
-    def test_detect_falls_back_without_psutil_or_proc(self, monkeypatch):
-        monkeypatch.setattr(sampler_module, "_psutil_available", lambda: False)
-        monkeypatch.setattr(sampler_module, "_proc_status_kb", lambda: None)
-        assert detect_backend() == "resource"
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_every_backend_yields_timing_metrics(self, backend):
-        with ResourceSampler(backend=backend) as sampler:
-            sum(range(1000))
-        metrics = sampler.result.metrics()
-        assert metrics["wall_s"] >= 0.0
-        assert metrics["cpu_s"] >= 0.0
-        if backend == "none":
-            assert "rss_kb" not in metrics and "max_rss_kb" not in metrics
-
-    def test_psutil_backend_degrades_gracefully_when_missing(self):
-        # Pinning backend="psutil" on a psutil-less host must not crash:
-        # the memory readings are simply omitted.
-        with ResourceSampler(backend="psutil") as sampler:
-            pass
-        metrics = sampler.result.metrics()
-        assert "wall_s" in metrics and "cpu_s" in metrics
-        assert "rss_kb" not in metrics
-
-    def test_proc_backend_reports_rss_on_linux(self):
-        if sampler_module._proc_status_kb() is None:
-            pytest.skip("/proc/self/status not available on this host")
-        with ResourceSampler(backend="proc") as sampler:
-            pass
-        metrics = sampler.result.metrics()
-        assert metrics["rss_kb"] > 0
-        assert metrics["max_rss_kb"] >= metrics["rss_kb"] * 0.5
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown sampler backend"):
-            ResourceSampler(backend="perf")
+    @pytest.mark.parametrize(
+        "platform,raw,expected", [("linux", 4096, 4096.0), ("darwin", 4096 * 1024, 4096.0)]
+    )
+    def test_max_rss_is_kib_on_every_platform(self, monkeypatch, platform, raw, expected):
+        monkeypatch.setattr(runner_module.sys, "platform", platform)
+        monkeypatch.setattr(
+            runner_module.resource,
+            "getrusage",
+            lambda who: SimpleNamespace(ru_maxrss=raw),
+        )
+        assert runner_module._max_rss_kb() == expected
 
 
 class TestIntegration:
-    def test_tiny_real_point_is_deterministic_across_executions(self, tmp_path):
-        """One genuinely simulated point, twice, in separate journals:
-        identical trace sha and domain metrics (the property the whole
-        artifact trajectory rests on)."""
-        suite = BenchSuite.from_dict(
-            {
-                "suite": "tiny",
-                "runs": [
-                    {
-                        "name": "tiny_world",
-                        "config": {
-                            "num_users": 4,
-                            "duration_days": 1,
-                            "total_posts": 10,
-                            "seed": 7,
-                        },
-                    }
-                ],
-            }
+    def test_tiny_real_point_is_deterministic_across_executions(
+        self, tmp_path, monkeypatch
+    ):
+        """One genuinely simulated point, twice: identical trace sha and
+        domain metrics (the property the whole artifact trajectory rests
+        on)."""
+        monkeypatch.setitem(
+            suites_module.SUITES,
+            "tiny",
+            (
+                BenchRun(
+                    "tiny_world",
+                    {"num_users": 4, "duration_days": 1, "total_posts": 10, "seed": 7},
+                ),
+            ),
         )
-        artifacts = []
-        for leg in ("first", "second"):
-            artifacts.append(
-                run_suite(
-                    suite,
-                    tmp_path / leg,
-                    out_path=tmp_path / f"BENCH_{leg}.json",
-                )
-            )
+        artifacts = [
+            run_suite("tiny", out_path=tmp_path / f"BENCH_{leg}.json")
+            for leg in ("first", "second")
+        ]
         first, second = (a["runs"][0] for a in artifacts)
         assert first["trace_sha256"] == second["trace_sha256"]
         assert len(first["trace_sha256"]) == 64
         for key in ("unique_messages", "disseminations", "contacts"):
             assert first["metrics"][key] == second["metrics"][key]
         assert first["metrics"]["cpu_s"] > 0
+        assert first["metrics"]["max_rss_kb"] > 0
+        assert artifacts[0]["host"]["sampler"] == "resource"
         # The artifact on disk is the validated schema, not just the
         # in-memory dict.
         on_disk = json.loads((tmp_path / "BENCH_first.json").read_text())

@@ -26,9 +26,11 @@ def _artifact(**overrides):
                 "point_a", 1, {"duration_days": 1}, {"wall_s": 1.6, "cpu_s": 1.3},
                 "ab" * 32,
             ),
-            schema.make_run_entry("ratio", 0, {}, {"speedup_x": 3.5}, None),
+            schema.make_run_entry(
+                "point_b", 0, {}, {"wall_s": 3.5, "cpu_s": 3.4, "max_rss_kb": 9.0},
+                "cd" * 32,
+            ),
         ],
-        sampler="proc",
     )
     data.update(overrides)
     return data
@@ -54,7 +56,7 @@ class TestRoundTrip:
         artifact = _artifact()
         assert artifact["schema"] == schema.SCHEMA_VERSION
         assert len(artifact["host"]["fingerprint"]) == 16
-        assert artifact["host"]["sampler"] == "proc"
+        assert artifact["host"]["sampler"] == "resource"
         # Inside this repo the git rev resolves to a 40-hex commit.
         rev = schema.git_revision()
         if rev is not None:
@@ -105,14 +107,25 @@ class TestValidation:
             validate_artifact(artifact)
 
     def test_rejects_malformed_trace_sha(self):
+        for bad in ("abc123", "zz" * 32):  # too short; right length, not hex
+            artifact = _artifact()
+            artifact["runs"][0]["trace_sha256"] = bad
+            with pytest.raises(BenchSchemaError, match="64-hex"):
+                validate_artifact(artifact)
+
+    def test_rejects_null_trace_sha(self):
+        # A run without a digest gives the gate nothing exact to compare.
         artifact = _artifact()
-        artifact["runs"][0]["trace_sha256"] = "abc123"
-        with pytest.raises(BenchSchemaError, match="64-hex"):
+        artifact["runs"][2]["trace_sha256"] = None
+        with pytest.raises(BenchSchemaError, match="trace_sha256"):
             validate_artifact(artifact)
 
-    def test_null_trace_sha_is_legal(self):
-        # Recorder entries (ratio measurements) carry no trace.
-        validate_artifact(_artifact())
+    @pytest.mark.parametrize("metric", schema.CORE_METRICS)
+    def test_rejects_missing_core_metric(self, metric):
+        artifact = _artifact()
+        del artifact["runs"][2]["metrics"][metric]
+        with pytest.raises(BenchSchemaError, match=f"missing core metric '{metric}'"):
+            validate_artifact(artifact)
 
     def test_rejects_negative_repetition(self):
         artifact = _artifact()
@@ -141,5 +154,5 @@ class TestValidation:
 class TestRunsByKey:
     def test_indexes_by_name_and_repetition(self):
         indexed = schema.runs_by_key(_artifact())
-        assert set(indexed) == {("point_a", 0), ("point_a", 1), ("ratio", 0)}
-        assert indexed[("ratio", 0)]["metrics"]["speedup_x"] == 3.5
+        assert set(indexed) == {("point_a", 0), ("point_a", 1), ("point_b", 0)}
+        assert indexed[("point_b", 0)]["metrics"]["max_rss_kb"] == 9.0

@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto import chacha
 from repro.crypto.chacha import ChaCha20, chacha20_decrypt, chacha20_encrypt
 
 
@@ -72,16 +71,17 @@ class TestVectorisedPaths:
         "size", [0, 1, 63, 64, 65, 100, 256, 257, 511, 512, 513, 1024, 4096]
     )
     def test_numpy_and_scalar_chunks_identical(self, size):
-        key, nonce = bytes(range(32)), bytes(range(12))
-        data = bytes((i * 7 + 3) % 256 for i in range(size))
-        with_numpy = ChaCha20(key, nonce, counter=9).crypt(data)
-        saved = chacha._np
-        chacha._np = None
-        try:
-            without_numpy = ChaCha20(key, nonce, counter=9).crypt(data)
-        finally:
-            chacha._np = saved
-        assert with_numpy == without_numpy
+        # The numpy block function against the scalar one for the blocks
+        # a ``size``-byte request needs, including counts below
+        # _NUMPY_BLOCK_MIN that ``_chunk`` would never send to numpy and
+        # a start counter whose run wraps at 2**32.
+        cipher = ChaCha20(bytes(range(32)), bytes(range(12)))
+        nblocks = -(-size // ChaCha20.BLOCK_SIZE)
+        for counter in (9, 2**32 - 3):
+            scalar = b"".join(
+                cipher._block((counter + i) & 0xFFFFFFFF) for i in range(nblocks)
+            )
+            assert cipher._chunk_numpy(counter, nblocks) == scalar
 
     def test_chunks_match_single_blocks(self):
         cipher = ChaCha20(bytes(range(32)), bytes(range(12)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geo import Place, PlaceKind, Point, Region, SpatialHashIndex, distance, midpoint
 from repro.geo.region import GAINESVILLE_AREA
+from repro.geo.spatial_index import _NUMPY_SWEEP_MIN
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -184,14 +185,14 @@ class TestSpatialIndexBoundaries:
         # Population over the vectorised-path threshold, all on exact
         # cell corners: the numpy sweep must produce the identical pair
         # set and identical float64 d2 values as the Python path.
-        numpy = pytest.importorskip("numpy")
         size = 10.0
         big = SpatialHashIndex(cell_size=size)
         points = {}
         for gx in range(14):
-            for gy in range(14):  # 196 items >= _NUMPY_SWEEP_MIN
+            for gy in range(14):
                 item = f"n{gx:02d}_{gy:02d}"
                 points[item] = Point(gx * size, gy * size)
+        assert len(points) >= _NUMPY_SWEEP_MIN
         big.update_many(points.items())
         got = sorted(
             ((a, b) if a <= b else (b, a), d2)

@@ -365,6 +365,11 @@ class TestEngineEquivalence:
                 ),
             )
             sim.schedule_at(245.0, medium.add_device, latecomer)
+            # A radio switched off mid-contact: d000 powers off while its
+            # link to the latecomer is up, so the link drops because an
+            # end went dark, then comes back once d000 is on again.
+            sim.schedule_at(310.0, medium.devices["d000"].power_off)
+            sim.schedule_at(335.0, medium.devices["d000"].power_on)
             sim.run(until=600.0)
             medium.stop()
             return [
@@ -379,7 +384,12 @@ class TestEngineEquivalence:
         latecomer_events = [
             event[:3] for event in batched if "d_late" in dict(event[3]).values()
         ]
-        assert latecomer_events == [(270.0, "contact", "up"), (420.0, "contact", "down")]
+        assert latecomer_events == [
+            (270.0, "contact", "up"),
+            (330.0, "contact", "down"),
+            (360.0, "contact", "up"),
+            (420.0, "contact", "down"),
+        ]
 
     def test_medium_tick_instrumentation_counts(self):
         sim, medium = make_world(batched=True)
