@@ -1,21 +1,22 @@
 """E10 (extension) — bulk social-graph bootstrap.
 
-PR 4 removed RSA keygen from large-N world builds; the next build
-bottleneck (ROADMAP) is day-0 follow-graph *wiring*: ``AlleyOopApp.follow``
-runs a full cloud sync round, an interest-set rebuild, a log append and a
-trace emit **per edge**, and the dense ``hub_and_cluster`` generator makes
-that O(N²) edges.  The bulk bootstrap (``AlleyOopApp.follow_many`` +
-``CloudService.sync_batch`` + ``ScenarioConfig.bulk_bootstrap``) collapses
-a user's whole day-0 follow list to one interest update, one compact
-FOLLOW_MANY log record, one aggregated trace event and one cloud round.
-This bench enforces the ISSUE-5 contracts:
+With RSA keygen off the large-N build path, the next build bottleneck is
+day-0 follow-graph *wiring*: ``AlleyOopApp.follow`` runs a full cloud
+sync round, an interest-set rebuild, a log append and a trace emit **per
+edge**, and the dense ``hub_and_cluster`` generator makes that O(N²)
+edges.  The study's day-0 wiring (``AlleyOopApp.follow_many`` +
+``CloudService.sync_batch``) collapses a user's whole follow list to one
+interest update, one compact FOLLOW_MANY log record, one aggregated
+trace event and one cloud round.  The per-edge wiring lives on as a test
+oracle, ``PerEdgeStudy`` in ``tests/wiring_oracle.py``.  This bench
+enforces two contracts against it:
 
 * **wiring speed** — ≥ 10x faster day-0 wiring at N=2000 on the dense
   Fig. 4a-shaped graph (the regime the ROADMAP names: ~1.9M edges),
-* **equivalence** — across wiring modes, byte-identical delivery/delay
-  traces, identical subscription windows and identical recorded follow
-  lists, for the default 10-user field study *and* a secured N=500 world
-  on the new sparse ``powerlaw_cluster`` generator.
+* **equivalence** — across the two wirings, byte-identical
+  delivery/delay traces, identical subscription windows and identical
+  recorded follow lists, for the default 10-user field study *and* a
+  secured N=500 world on the sparse ``powerlaw_cluster`` generator.
 
 Run just this bench with::
 
@@ -32,6 +33,7 @@ import pytest
 
 from repro.experiments import GainesvilleStudy, ScenarioConfig
 from repro.metrics.report import format_table
+from tests.wiring_oracle import PerEdgeStudy
 
 #: The wiring-speed regime (dense graph: ~1.9M directed edges).
 SCALE_N = 2000
@@ -52,6 +54,10 @@ class _TimedWiring(GainesvilleStudy):
         self.wiring_seconds = time.process_time() - start
 
 
+class _TimedPerEdgeWiring(_TimedWiring, PerEdgeStudy):
+    """The per-edge oracle's wiring, timed the same way."""
+
+
 def _build(num_users: int, bulk: bool, social_graph: str) -> _TimedWiring:
     config = ScenarioConfig(
         num_users=num_users,
@@ -61,9 +67,8 @@ def _build(num_users: int, bulk: bool, social_graph: str) -> _TimedWiring:
         key_bits=BUILD_BITS,
         provisioning="lazy",
         social_graph=social_graph,
-        bulk_bootstrap=bulk,
     )
-    study = _TimedWiring(config)
+    study = (_TimedWiring if bulk else _TimedPerEdgeWiring)(config)
     study.build()
     return study
 
@@ -114,15 +119,14 @@ def test_bench_wiring_speedup_at_scale():
 
 
 def _assert_modes_equivalent(config_kwargs: dict) -> Tuple[int, int]:
-    """Run both wiring modes and assert everything the analysis consumes
-    is identical.  Returns (trace lines, deliveries) for sanity checks."""
+    """Run the study and the per-edge oracle and assert everything the
+    analysis consumes is identical.  Returns (trace lines, deliveries)
+    for sanity checks."""
     from tests.worldutil import followed_sequences, subscription_windows, trace_lines
 
     traces, windows, followed, ratios = {}, {}, {}, {}
-    for bulk in (True, False):
-        study = GainesvilleStudy(
-            ScenarioConfig(bulk_bootstrap=bulk, **config_kwargs)
-        )
+    for bulk, study_cls in ((True, GainesvilleStudy), (False, PerEdgeStudy)):
+        study = study_cls(ScenarioConfig(**config_kwargs))
         result = study.run()
         traces[bulk] = trace_lines(study.sim, exclude_category="social")
         windows[bulk] = subscription_windows(study.sim)

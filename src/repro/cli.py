@@ -82,13 +82,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "whose per-user degree stays constant as N grows",
     )
     parser.add_argument(
-        "--per-edge-bootstrap",
-        action="store_true",
-        help="wire day-0 follows one cloud round per edge (the reference "
-        "oracle) instead of the bulk per-user batch (same traces; for "
-        "benchmarking)",
-    )
-    parser.add_argument(
         "--faults",
         default=None,
         metavar="SPEC",
@@ -126,8 +119,6 @@ def _config_from(args: argparse.Namespace) -> ScenarioConfig:
         kwargs["provisioning_workers"] = args.workers
     if args.social_graph is not None:
         kwargs["social_graph"] = args.social_graph
-    if args.per_edge_bootstrap:
-        kwargs["bulk_bootstrap"] = False
     if args.faults is not None:
         kwargs["faults"] = args.faults
     if args.fault_seed is not None:

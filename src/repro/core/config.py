@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.pki.provisioning import PROVISIONING_MODES
-
 #: The paper fixes user identifiers at 10 bytes (§V-A).
 USER_ID_LENGTH = 10
 
@@ -42,15 +40,6 @@ class SosConfig:
         :mod:`repro.crypto.session`).  Off selects the legacy per-packet
         hybrid-RSA pipeline, kept as the reference oracle; both modes
         produce byte-identical delivery/delay traces for a fixed seed.
-    provisioning:
-        How this instance's identity was provisioned: ``"eager"`` (key
-        pair generated during sign-up, the paper's flow and the reference
-        oracle), ``"pooled"`` (key pair taken from a deterministic
-        :class:`repro.pki.provisioning.KeypairPool`), or ``"lazy"``
-        (placeholder sign-up; the keystore materialises the key pair on
-        first secured send/receive).  All three produce byte-identical
-        keys, certificates and traces for a fixed seed — the knob trades
-        build-time CPU only.
     session_rekey_interval:
         Seconds a session sending key may stay in use before the next
         packet establishes a fresh one.
@@ -73,7 +62,6 @@ class SosConfig:
     advertisement_limit: int = 64
     require_encryption: bool = True
     session_crypto: bool = True
-    provisioning: str = "eager"
     session_rekey_interval: float = 3600.0
     session_rekey_packets: int = 4096
     certificate_exchange_timeout: float = 20.0
@@ -94,11 +82,6 @@ class SosConfig:
     def __post_init__(self) -> None:
         if self.advertisement_limit < 1:
             raise ValueError("advertisement_limit must be at least 1")
-        if self.provisioning not in PROVISIONING_MODES:
-            raise ValueError(
-                f"provisioning must be one of {PROVISIONING_MODES}, "
-                f"got {self.provisioning!r}"
-            )
         if self.certificate_exchange_timeout <= 0:
             raise ValueError("certificate_exchange_timeout must be positive")
         if self.session_rekey_interval <= 0:

@@ -67,13 +67,15 @@ def _run_sweep_point(config: ScenarioConfig) -> DensityPoint:
 class DensitySweep:
     """Run the deployment at several densities, all else equal.
 
-    ``workers > 1`` runs the sweep points in parallel processes.  Every
-    point derives all randomness from its own config seed and every
-    worker provisions from per-user DRBGs, so a parallel sweep reports
-    exactly what the serial sweep would — only sooner.  Pair it with
-    ``provisioning="pooled"`` and a shared ``key_cache_dir`` so the swept
-    populations pay RSA keygen once across the whole sweep (and across
-    repeated sweeps).
+    Each point is ``base_config`` at one swept population; every other
+    scenario axis is set on ``base_config``.  ``workers > 1`` runs the
+    sweep points in parallel processes.  Every point derives all
+    randomness from its own config seed and every worker provisions from
+    per-user DRBGs, so a parallel sweep reports exactly what the serial
+    sweep would — only sooner.  Set ``provisioning="pooled"`` and a
+    shared ``key_cache_dir`` on ``base_config`` so the swept populations
+    pay RSA keygen once across the whole sweep (and across repeated
+    sweeps).
     """
 
     def __init__(
@@ -81,40 +83,18 @@ class DensitySweep:
         base_config: Optional[ScenarioConfig] = None,
         populations: Sequence[int] = (10, 16, 24),
         scale_meetups_with_population: bool = True,
-        provisioning: Optional[str] = None,
-        key_cache_dir: Optional[str] = None,
         workers: int = 1,
-        social_graph: Optional[str] = None,
-        bulk_bootstrap: Optional[bool] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.base_config = base_config or ScenarioConfig(duration_days=3, total_posts=110)
         self.populations = tuple(populations)
         self.scale_meetups_with_population = scale_meetups_with_population
-        self.provisioning = provisioning
-        self.key_cache_dir = key_cache_dir
         self.workers = workers
-        #: Follow-graph generator for the swept populations; the sparse
-        #: families (degree_bounded/powerlaw_cluster) are what make
-        #: N >> 500 points affordable.  None rides base_config.
-        self.social_graph = social_graph
-        #: Day-0 wiring mode override; None rides base_config.
-        self.bulk_bootstrap = bulk_bootstrap
         self.points: List[DensityPoint] = []
 
     def _config_for(self, num_users: int) -> ScenarioConfig:
-        # Crypto mode rides base_config (ScenarioConfig.session_crypto);
-        # provisioning/key_cache_dir override base_config when given.
         config = replace(self.base_config, num_users=num_users)
-        if self.provisioning is not None:
-            config = replace(config, provisioning=self.provisioning)
-        if self.key_cache_dir is not None:
-            config = replace(config, key_cache_dir=self.key_cache_dir)
-        if self.social_graph is not None:
-            config = replace(config, social_graph=self.social_graph)
-        if self.bulk_bootstrap is not None:
-            config = replace(config, bulk_bootstrap=self.bulk_bootstrap)
         if self.scale_meetups_with_population:
             # Meetup opportunities scale with people, not with the map.
             factor = num_users / self.base_config.num_users

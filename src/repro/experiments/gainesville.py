@@ -216,7 +216,6 @@ class GainesvilleStudy:
                 routing_protocol=cfg.routing_protocol,
                 require_encryption=cfg.require_encryption,
                 session_crypto=cfg.session_crypto,
-                provisioning=cfg.provisioning,
                 relay_request_grace=cfg.relay_request_grace,
             )
             self.apps[node] = AlleyOopApp(
@@ -266,9 +265,6 @@ class GainesvilleStudy:
             cfg.social_graph, cfg.num_users, self.sim.streams.get("social")
         )
 
-    def _edge_pairs(self, edges) -> List[Tuple[int, int]]:
-        return [(a, b) for a, b in edges]
-
     def _initial_subscriptions(self) -> Tuple[Tuple[int, int], ...]:
         """The day-0 follow edges, in wiring order.
 
@@ -276,24 +272,19 @@ class GainesvilleStudy:
         happen during the study); every generated graph is wired whole.
         Both sources arrive grouped by follower — INITIAL_SUBSCRIPTIONS
         is sorted, SocialDigraph.edges() yields per-follower runs — which
-        is what lets bulk and per-edge wiring emit identical traces.
+        is what lets the bulk wiring emit the same traces as the per-edge
+        oracle, ``PerEdgeStudy`` in ``tests/wiring_oracle.py``.
         """
         if self.social_graph_kind == "figure4a":
             return figure4a.INITIAL_SUBSCRIPTIONS
         return tuple(self.social_graph.edges())
 
     def _wire_day0_follows(self) -> None:
-        initial = self._initial_subscriptions()
-        if self.config.bulk_bootstrap:
-            by_follower: Dict[int, List[str]] = {}
-            for follower, followee in initial:
-                by_follower.setdefault(follower, []).append(self.user_ids[followee])
-            for follower, followees in by_follower.items():
-                self.apps[follower].follow_many(followees)
-        else:
-            # Per-edge reference oracle: one cloud sync round per edge.
-            for follower, followee in initial:
-                self.apps[follower].follow(self.user_ids[followee])
+        by_follower: Dict[int, List[str]] = {}
+        for follower, followee in self._initial_subscriptions():
+            by_follower.setdefault(follower, []).append(self.user_ids[followee])
+        for follower, followees in by_follower.items():
+            self.apps[follower].follow_many(followees)
 
     def _schedule_late_follows(self) -> None:
         if self.social_graph_kind != "figure4a":

@@ -50,18 +50,6 @@ class ScenarioConfig:
     #: per-user degree independent of N, opening large-N sweeps that the
     #: O(N²)-dense hub_and_cluster generator cannot reach.
     social_graph: str = "auto"
-    #: Day-0 follow wiring: ``True`` batches each user's initial follow
-    #: list through ``AlleyOopApp.follow_many`` — interest set updated
-    #: once, one compact FOLLOW_MANY log record, one aggregated trace
-    #: event and one bulk cloud sync round per *user*; ``False`` keeps
-    #: the per-edge reference path (one FOLLOW record, trace event and
-    #: cloud round per *edge*).  Both modes produce byte-identical
-    #: delivery/delay traces, identical follow/interest sets and
-    #: identical subscription windows for a fixed seed; only the day-0
-    #: bookkeeping representation is compacted.  The flag exists for
-    #: benchmarking and equivalence checks (see
-    #: benchmarks/test_bench_social_bootstrap.py).
-    bulk_bootstrap: bool = True
     venues_per_user: Tuple[int, int] = (2, 4)
     weekday_attendance: float = 0.5
     weekday_social_prob: float = 0.40

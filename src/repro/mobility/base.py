@@ -16,7 +16,7 @@ Python call.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.geo.point import Point
 
@@ -37,17 +37,6 @@ class MobilityModel(ABC):
         population can be advanced more cheaply than node-by-node.
         """
         return [model.position_at(now) for model in models]
-
-    def max_speed_m_s(self) -> Optional[float]:
-        """Upper bound on this node's speed in m/s, or None if unknown.
-
-        A bound lets the medium prove a distant pair cannot possibly come
-        into radio range before some future time and skip re-examining it
-        until then.  The bound must hold for *every* position the model
-        can ever produce — models that may reposition discontinuously
-        (agenda rebuilds, trace gaps) must return None.
-        """
-        return None
 
     def warm_up(self, now: float) -> None:
         """Optional hook: advance internal state to ``now`` before the
@@ -71,6 +60,3 @@ class StationaryModel(MobilityModel):
             # placement, ...): honour it instead of the _position shortcut.
             return [model.position_at(now) for model in models]
         return [model._position for model in models]
-
-    def max_speed_m_s(self) -> float:
-        return 0.0

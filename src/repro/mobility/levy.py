@@ -57,9 +57,6 @@ class LevyWalk(MobilityModel):
         self._target: Optional[Point] = None
         self._speed = 1.0
 
-    def max_speed_m_s(self) -> float:
-        return self.speed_range[1]
-
     def _draw_step_length(self) -> float:
         """Inverse-CDF sample from a Pareto truncated to [min, max]."""
         u = self._rng.random()

@@ -57,9 +57,6 @@ class RandomWaypoint(MobilityModel):
         self._target: Optional[Point] = None
         self._speed = 1.0
 
-    def max_speed_m_s(self) -> float:
-        return self.speed_range[1]
-
     def _begin_move(self) -> None:
         self._target = self.region.random_point(self._rng)
         self._speed = self._rng.uniform(*self.speed_range)

@@ -71,18 +71,6 @@ class TraceReplayModel(MobilityModel):
         self.trace = trace
         self._times = [t for t, _ in trace.samples]
 
-    def max_speed_m_s(self):
-        """Fastest inter-sample segment speed (interpolation never exceeds
-        it), or None if the trace teleports (two positions at one time)."""
-        fastest = 0.0
-        samples = self.trace.samples
-        for (t0, p0), (t1, p1) in zip(samples, samples[1:]):
-            if t1 > t0:
-                fastest = max(fastest, p0.distance_to(p1) / (t1 - t0))
-            elif p1 != p0:
-                return None
-        return fastest
-
     def position_at(self, now: float) -> Point:
         samples = self.trace.samples
         idx = bisect_right(self._times, now)

@@ -46,10 +46,6 @@ class Device:
         """Most recently computed position (None before the first tick)."""
         return self._last_position
 
-    def max_speed_m_s(self) -> Optional[float]:
-        """Speed bound from the mobility model (None when unknown)."""
-        return self.mobility.max_speed_m_s()
-
     def power_off(self) -> None:
         """Simulate the app backgrounded / device off: radios go silent."""
         self.powered_on = False

@@ -32,14 +32,6 @@ devices:
   survival threshold of the radio they were raised on; radio resolution
   (``best_common_radio``) runs once per pair ever, cached, because radio
   sets are immutable.
-* **Per-pair next-check scheduling** — when both endpoints advertise a
-  speed bound (:meth:`~repro.net.device.Device.max_speed_m_s`), a pair
-  seen far outside its link range is provably out of reach for
-  ``(distance - range) / (v_a + v_b)`` seconds and is skipped until
-  then.  This prunes the per-candidate link logic, not the geometric
-  sweep, so it matters for stationary populations (parked forever once
-  out of range) and short-range radios inside a long-range sweep;
-  fast-moving homogeneous-radio pairs rarely qualify.
 
 Link events are emitted in sorted pair order within a tick, which makes
 contact traces byte-identical across processes (cell sets iterate in
@@ -54,7 +46,6 @@ EXPERIMENTS.md for how to run them).
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -66,15 +57,6 @@ from repro.sim.engine import Simulator
 from repro.sim.process import PeriodicTimer
 
 LinkCallback = Callable[[Device, Device, RadioProfile], None]
-
-#: Sentinel "never re-check" horizon for pairs that provably cannot link
-#: (no common radio technology, or two stationary devices out of range).
-_NEVER = math.inf
-
-#: Safety margin (metres) subtracted from the provable out-of-reach gap
-#: before scheduling a skip, absorbing floating-point drift in mobility
-#: integration.  Chosen far above any accumulated rounding error.
-_SCHEDULE_SLACK_M = 1.0
 
 _MISSING = object()
 
@@ -115,8 +97,6 @@ class Medium:
         self._up_callbacks: List[LinkCallback] = []
         self._down_callbacks: List[LinkCallback] = []
         self._max_range = 0.0
-        #: device_id -> mobility speed bound (None = unknown).
-        self._speed_bound: Dict[str, Optional[float]] = {}
         #: device_id -> own maximum radio reach * hysteresis (sweep cutoff).
         self._reach: Dict[str, float] = {}
         # Radio resolution is cached per *radio-set class*, not per pair:
@@ -126,14 +106,10 @@ class Medium:
         self._radio_class: Dict[str, int] = {}
         #: (class_a << 16 | class_b) -> (radio, range_m^2) or None.
         self._class_radio: Dict[int, Optional[Tuple[RadioProfile, float]]] = {}
-        #: pair -> earliest time the pair could possibly come into range.
-        self._next_check: Dict[Tuple[str, str], float] = {}
         #: mobility-class groups, rebuilt after add/remove.
         self._groups: Optional[List[Tuple[type, List[Device], list]]] = None
         # Tick instrumentation (read by the scale bench and sweep reports).
         self.tick_count = 0
-        self.pairs_examined = 0
-        self.pair_checks_skipped = 0
         #: cumulative CPU seconds spent inside tick().
         self.tick_cpu_s = 0.0
         self._timer = PeriodicTimer(sim, self.tick_interval, self.tick, name="medium-tick")
@@ -142,17 +118,16 @@ class Medium:
     def add_device(self, device: Device) -> None:
         """Register a device.
 
-        The medium snapshots the device's mobility object, radio set and
-        speed bound here; none of them may be swapped while the device
-        is registered (``remove_device`` + ``add_device`` to change
-        them).  Power state may change freely at any time.
+        The medium snapshots the device's mobility object and radio set
+        here; neither may be swapped while the device is registered
+        (``remove_device`` + ``add_device`` to change them).  Power
+        state may change freely at any time.
         """
         if device.device_id in self.devices:
             raise ValueError(f"duplicate device id {device.device_id!r}")
         self.devices[device.device_id] = device
         own_range = max(r.range_m for r in device.radios)
         self._max_range = max(self._max_range, own_range)
-        self._speed_bound[device.device_id] = device.max_speed_m_s()
         self._reach[device.device_id] = own_range * self.hysteresis
         set_id = self._radio_set_ids.get(device.radios)
         if set_id is None:
@@ -173,11 +148,8 @@ class Medium:
             self._drop_link(key)
         del self.devices[device_id]
         self._index.remove(device_id)
-        self._speed_bound.pop(device_id, None)
         self._reach.pop(device_id, None)
         self._radio_class.pop(device_id, None)
-        for key in [k for k in self._next_check if device_id in k]:
-            del self._next_check[key]
         self._groups = None
 
     # -- callbacks -----------------------------------------------------------------
@@ -216,8 +188,7 @@ class Medium:
         candidates = index.pairs_within(
             self._max_range * self.hysteresis, reach_of=self._reach
         )
-        self.pairs_examined += len(candidates)
-        self._apply_candidates(now, candidates)
+        self._apply_candidates(candidates)
         self.tick_cpu_s += time.process_time() - started  # repro: ignore[nondet-wallclock] -- bench instrumentation only: see above.
 
     def _mobility_groups(self) -> List[Tuple[type, List[Device], list]]:
@@ -235,9 +206,7 @@ class Medium:
             self._groups = list(buckets.values())
         return self._groups
 
-    def _apply_candidates(
-        self, now: float, candidates: List[Tuple[str, str, float]]
-    ) -> None:
+    def _apply_candidates(self, candidates: List[Tuple[str, str, float]]) -> None:
         """The incremental link diff.
 
         ``candidates`` is the tick's geometric candidate set —
@@ -250,13 +219,9 @@ class Medium:
         linked = self._linked
         radio_class = self._radio_class
         class_radio = self._class_radio
-        speed_bound = self._speed_bound
-        next_check = self._next_check
         hysteresis = self.hysteresis
-        tick_interval = self.tick_interval
         survivors: Set[Tuple[str, str]] = set()
         to_raise: List[Tuple[Tuple[str, str], RadioProfile]] = []
-        skipped = 0
         for a, b, d2 in candidates:
             key = (a, b) if a <= b else (b, a)
             active = linked.get(key)
@@ -269,12 +234,6 @@ class Medium:
                 continue
             if not (devices[a].powered_on and devices[b].powered_on):
                 continue
-            horizon = next_check.get(key)
-            if horizon is not None:
-                if now < horizon:
-                    skipped += 1
-                    continue
-                del next_check[key]
             class_key = (radio_class[key[0]] << 16) | radio_class[key[1]]
             entry = class_radio.get(class_key, _MISSING)
             if entry is _MISSING:
@@ -286,24 +245,6 @@ class Medium:
             radio, r2 = entry
             if d2 <= r2:
                 to_raise.append((key, radio))
-                continue
-            # Out of range: when both speed bounds are known, skip the pair
-            # until it could possibly have closed the gap.
-            va = speed_bound.get(a)
-            vb = speed_bound.get(b)
-            if va is None or vb is None:
-                continue
-            closure = va + vb
-            reach = radio.range_m
-            if closure <= 0.0:
-                next_check[key] = _NEVER  # both pinned, forever apart
-                continue
-            min_skip = reach + _SCHEDULE_SLACK_M + closure * tick_interval
-            if d2 > min_skip * min_skip:
-                next_check[key] = (
-                    now + (math.sqrt(d2) - reach - _SCHEDULE_SLACK_M) / closure
-                )
-        self.pair_checks_skipped += skipped
         if len(survivors) != len(linked):
             for key in sorted(k for k in linked if k not in survivors):
                 self._drop_link(key)

@@ -17,14 +17,6 @@ from repro.pki.csr import CertificateSigningRequest
 from repro.pki.keystore import KeyStore
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "chaos_smoke: miniature chaos-convergence property checks, cheap "
-        "enough for their own CI lane (select with -m chaos_smoke)",
-    )
-
-
 @pytest.fixture(scope="session")
 def keypair_pool():
     """Twelve deterministic 1024-bit key pairs, generated once."""

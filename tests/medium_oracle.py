@@ -46,7 +46,6 @@ class PerDeviceMedium(Medium):
                 if key in seen:
                     continue
                 seen.add(key)
-                self.pairs_examined += 1
                 if not devices[other_id].powered_on:
                     continue
                 radio = best_common_radio(devices[key[0]].radios, devices[key[1]].radios)

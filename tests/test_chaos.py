@@ -15,9 +15,6 @@ through a quiet period.  The convergence contract (ISSUE 7):
 * anti-replay holds across crash/reconnect: a recorded handshake frame
   replayed after the victim crashes and reboots is rejected as a
   security diagnostic, never accepted and never a crash.
-
-Marked ``chaos_smoke`` so CI can run the lane on its own
-(``pytest tests -m chaos_smoke``); the tier-1 run includes it too.
 """
 
 import pytest
@@ -27,8 +24,6 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.geo.point import Point
 from repro.mpc.peer import PeerID
 from tests.worldutil import World, trace_lines
-
-pytestmark = pytest.mark.chaos_smoke
 
 #: Chaos phase length, then a quiet period long enough for the last
 #: scheduled retry (sampled cap 120 s, jitter 0.25) plus a reconnect.

@@ -1,5 +1,7 @@
 """Tests for the CLI and the density sweep."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -70,13 +72,6 @@ class TestCli:
         ]) == 0
         assert "density_directed" in capsys.readouterr().out
 
-    def test_per_edge_bootstrap_flag(self, capsys):
-        assert main([
-            "study", "--days", "1", "--posts", "5", "--seed", "3",
-            "--per-edge-bootstrap",
-        ]) == 0
-        assert "density_directed" in capsys.readouterr().out
-
     def test_unknown_protocol_surfaces(self):
         with pytest.raises(KeyError):
             main(["study", "--days", "1", "--posts", "5", "--protocol", "warp"])
@@ -114,20 +109,19 @@ class TestDensitySweep:
         config = sweep._config_for(6)
         assert config.meetups_per_day == sweep.base_config.meetups_per_day
 
-    def test_social_graph_and_bootstrap_overrides(self):
-        sweep = DensitySweep(
-            base_config=ScenarioConfig(seed=8, duration_days=1, total_posts=5),
-            populations=(12,),
-            social_graph="degree_bounded",
-            bulk_bootstrap=False,
+    def test_social_graph_and_bootstrap_overrides(self, tmp_path):
+        """Scenario axes such as the generator family and the key
+        provisioning ride base_config: a sweep point changes only the
+        population and the meetup rate scaled with it."""
+        base = ScenarioConfig(
+            seed=8, duration_days=1, total_posts=5,
+            social_graph="degree_bounded", provisioning="pooled",
+            key_cache_dir=str(tmp_path),
         )
-        config = sweep._config_for(12)
+        config = DensitySweep(base_config=base, populations=(12,))._config_for(12)
         assert config.social_graph == "degree_bounded"
-        assert config.bulk_bootstrap is False
-        # None leaves base_config untouched.
-        vanilla = DensitySweep(
-            base_config=ScenarioConfig(seed=8, duration_days=1, total_posts=5),
-            populations=(12,),
+        assert config.provisioning == "pooled"
+        assert config.key_cache_dir == str(tmp_path)
+        assert config == replace(
+            base, num_users=12, meetups_per_day=base.meetups_per_day * (12 / 10)
         )
-        assert vanilla._config_for(12).social_graph == "auto"
-        assert vanilla._config_for(12).bulk_bootstrap is True

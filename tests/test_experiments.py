@@ -116,7 +116,8 @@ class TestProtocolComparison:
 
 
 class TestBootstrapAndSocialGraphKnobs:
-    """The PR-5 knobs: bulk day-0 wiring and the generator family."""
+    """Bulk day-0 wiring against the per-edge oracle, and the
+    generator-family knob."""
 
     def test_bulk_and_per_edge_wiring_equivalent(self):
         """Everything the analysis consumes must be identical across
@@ -126,13 +127,13 @@ class TestBootstrapAndSocialGraphKnobs:
         and the follow lists recorded in the §V action logs (the bulk
         mode's compact FOLLOW_MANY records expand to the oracle's
         per-edge FOLLOW sequence)."""
+        from tests.wiring_oracle import PerEdgeStudy
         from tests.worldutil import followed_sequences, subscription_windows, trace_lines
 
         traces, windows, followed = {}, {}, {}
-        for bulk in (True, False):
-            study = GainesvilleStudy(
-                small_config(num_users=12, duration_days=1, total_posts=12,
-                             bulk_bootstrap=bulk)
+        for bulk, study_cls in ((True, GainesvilleStudy), (False, PerEdgeStudy)):
+            study = study_cls(
+                small_config(num_users=12, duration_days=1, total_posts=12)
             )
             study.run()
             traces[bulk] = trace_lines(study.sim, exclude_category="social")

@@ -21,9 +21,7 @@ from repro.geo.point import Point
 from repro.geo.region import Region
 from repro.geo.spatial_index import SpatialHashIndex
 from repro.mobility.base import MobilityModel, StationaryModel
-from repro.mobility.levy import LevyWalk
 from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.trace_model import TraceReplayModel, WaypointTrace
 from repro.net.device import Device
 from repro.net.medium import Medium
 from repro.net.radio import BLUETOOTH, DEFAULT_RADIO_SET, P2P_WIFI
@@ -31,6 +29,7 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Timer
 from tests.medium_oracle import PerDeviceMedium
 from tests.test_routing_protocols import ALICE, BOB, CAROL, FakeServices
+from tests.worldutil import trace_lines
 
 
 class _Script(MobilityModel):
@@ -85,19 +84,6 @@ class TestRemoveDeviceCallbacks:
     def test_remove_unknown_device_is_noop(self, batched):
         _, medium = make_world(batched=batched)
         medium.remove_device("ghost")  # must not raise
-
-    def test_removed_device_pairs_forgotten_by_scheduler(self):
-        sim, medium = make_world(batched=True)
-        # Stationary Bluetooth pair just outside range but inside the
-        # hysteresis sweep: parked forever by the scheduler.
-        medium.add_device(Device("a", StationaryModel(Point(0, 0)), radios=(BLUETOOTH,)))
-        medium.add_device(Device("b", StationaryModel(Point(10.5, 0)), radios=(BLUETOOTH,)))
-        medium.start()
-        sim.run(until=30.0)
-        assert medium._next_check  # pair parked by the scheduler
-        assert medium.pair_checks_skipped > 0
-        medium.remove_device("b")
-        assert not any("b" in key for key in medium._next_check)
 
 
 class TestHysteresisRadioKeying:
@@ -299,38 +285,6 @@ class TestMobilityBatchApi:
             Point(i, i) for i in range(4)
         ]
 
-    def test_speed_bounds(self):
-        region = Region(0, 0, 100, 100)
-        assert StationaryModel(Point(0, 0)).max_speed_m_s() == 0.0
-        rwp = RandomWaypoint(region, random.Random(1), speed_range=(0.5, 3.5))
-        assert rwp.max_speed_m_s() == 3.5
-        levy = LevyWalk(region, random.Random(1), speed_range=(0.8, 2.5))
-        assert levy.max_speed_m_s() == 2.5
-
-        trace = WaypointTrace("n")
-        trace.add(0.0, Point(0, 0))
-        trace.add(10.0, Point(30, 40))  # 5 m/s segment
-        assert TraceReplayModel(trace).max_speed_m_s() == pytest.approx(5.0)
-
-        jumpy = WaypointTrace("j")
-        jumpy.add(0.0, Point(0, 0))
-        jumpy.add(0.0, Point(500, 0))  # teleport: bound unknowable
-        assert TraceReplayModel(jumpy).max_speed_m_s() is None
-
-    def test_unknown_speed_bound_never_skips_checks(self):
-        class Drifter(MobilityModel):
-            def position_at(self, now):
-                return Point(200.0 - now, 0.0)  # unbounded claim: returns None
-
-        sim = Simulator(seed=1)
-        medium = Medium(sim, tick_interval=10.0)
-        medium.add_device(Device("a", StationaryModel(Point(0, 0))))
-        medium.add_device(Device("b", Drifter()))
-        medium.start()
-        sim.run(until=250.0)
-        assert medium.pair_checks_skipped == 0
-        assert medium.link_between("a", "b") is P2P_WIFI  # caught on approach
-
 
 class TestEngineEquivalence:
     def test_batched_and_per_device_traces_identical(self):
@@ -391,6 +345,31 @@ class TestEngineEquivalence:
             (420.0, "contact", "down"),
         ]
 
+    def test_drifter_links_on_approach(self):
+        """A device closing on a stationary one, under a model that
+        knows nothing of its own speed, is a candidate out of range at
+        t=140 s (65 m: inside the 66 m sweep, beyond the 60 m WiFi range)
+        and links on the next tick, under both media."""
+
+        class Drifter(MobilityModel):
+            def position_at(self, now):
+                return Point(205.0 - now, 0.0)
+
+        def run(batched):
+            sim, medium = make_world(batched=batched)
+            medium.add_device(Device("a", StationaryModel(Point(0, 0))))
+            medium.add_device(Device("b", Drifter()))
+            medium.start()
+            sim.run(until=250.0)
+            assert medium.link_between("a", "b") is P2P_WIFI
+            return trace_lines(sim)
+
+        batched = run(True)
+        assert batched == run(False)
+        assert [line for line in batched if "|contact|" in line] == [
+            "150.0|contact|up|[('a', 'a'), ('b', 'b'), ('radio', 'p2p_wifi')]"
+        ]
+
     def test_medium_tick_instrumentation_counts(self):
         sim, medium = make_world(batched=True)
         medium.add_device(Device("a", StationaryModel(Point(0, 0))))
@@ -398,8 +377,7 @@ class TestEngineEquivalence:
         medium.start()
         sim.run(until=35.0)
         assert medium.tick_count == 4  # t=0 plus ticks at 10/20/30 s
-        assert medium.pairs_examined >= 1
-        assert medium.distance_checks >= medium.pairs_examined
+        assert medium.distance_checks >= 1
 
     def test_batched_engine_compresses_distance_checks(self):
         def run(batched):

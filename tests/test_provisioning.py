@@ -10,7 +10,6 @@ import pytest
 from repro.alleyoop.cloud import CloudService
 from repro.bench.suites import scenario_config
 from repro.bench.traceid import trace_sha256
-from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
 from repro.experiments import DensitySweep, GainesvilleStudy, ScenarioConfig
@@ -198,10 +197,6 @@ class TestProvisionUser:
 
 
 class TestConfigValidation:
-    def test_sos_config_rejects_bad_mode(self):
-        with pytest.raises(ValueError, match="provisioning"):
-            SosConfig(provisioning="telepathy")
-
     def test_scenario_config_rejects_bad_mode(self):
         with pytest.raises(ValueError, match="provisioning"):
             ScenarioConfig(provisioning="telepathy")
