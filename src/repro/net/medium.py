@@ -24,6 +24,11 @@ devices:
   :meth:`~repro.mobility.base.MobilityModel.positions_at` call, then the
   spatial index absorbs every move via
   :meth:`~repro.geo.spatial_index.SpatialHashIndex.update_many`.
+* **Only radios that are on are indexed** — a dark radio can neither
+  raise nor keep a link, so the tick drops it from the index and sweeps
+  only when two or more remain; the link diff always runs.  Every device
+  still moves: the working-day venue wander advances only when queried,
+  on the RNG that day generation shares, and ``last_position`` feeds Fig. 4b.
 * **One pair sweep per tick** — instead of one radius query per device
   (which visits every pair twice and dedups with a ``seen`` set), the
   index enumerates each candidate pair exactly once with
@@ -121,7 +126,8 @@ class Medium:
         The medium snapshots the device's mobility object and radio set
         here; neither may be swapped while the device is registered
         (``remove_device`` + ``add_device`` to change them).  Power
-        state may change freely at any time.
+        state may change freely at any time.  Its position is always
+        queried (see "The tick"), but indexed only while its radio is on.
         """
         if device.device_id in self.devices:
             raise ValueError(f"duplicate device id {device.device_id!r}")
@@ -134,7 +140,9 @@ class Medium:
             set_id = len(self._radio_set_ids)
             self._radio_set_ids[device.radios] = set_id
         self._radio_class[device.device_id] = set_id
-        self._index.update(device.device_id, device.position_at(self.sim.now))
+        position = device.position_at(self.sim.now)
+        if device.powered_on:
+            self._index.update(device.device_id, position)
         self._groups = None
 
     def remove_device(self, device_id: str) -> None:
@@ -178,16 +186,20 @@ class Medium:
         self.tick_count += 1
         started = time.process_time()  # repro: ignore[nondet-wallclock] -- bench instrumentation only: the reading accumulates into tick_cpu_s, which is reported by benchmarks and never reaches simulation state, scheduling or the trace.
         now = self.sim.now
-        # Advance the population, one batch call per mobility class.
+        # Move everyone, one batch call per mobility class; index radios that are on.
         index = self._index
         for mobility_cls, group_devices, models in self._mobility_groups():
             points = mobility_cls.positions_at(models, now)
+            lit = []
             for device, position in zip(group_devices, points):
                 device._last_position = position
-            index.update_many(zip((d.device_id for d in group_devices), points))
-        candidates = index.pairs_within(
-            self._max_range * self.hysteresis, reach_of=self._reach
-        )
+                if device.powered_on:
+                    lit.append((device.device_id, position))
+                else:
+                    index.remove(device.device_id)
+            index.update_many(lit)
+        sweep = self._max_range * self.hysteresis
+        candidates = index.pairs_within(sweep, reach_of=self._reach) if len(index) > 1 else []
         self._apply_candidates(candidates)
         self.tick_cpu_s += time.process_time() - started  # repro: ignore[nondet-wallclock] -- bench instrumentation only: see above.
 
@@ -213,7 +225,9 @@ class Medium:
         ``(a, b, d²)`` for every pair within ``min(reach_a, reach_b)``,
         each pair exactly once, in any order (the diff is per-pair
         independent and emission below is sorted, so candidate order
-        cannot reach the trace).
+        cannot reach the trace).  Both ends of every candidate are on
+        (the tick indexes only radios that are on), so a link with a
+        dark end is absent here and drops below.
         """
         devices = self.devices
         linked = self._linked
@@ -226,13 +240,9 @@ class Medium:
             key = (a, b) if a <= b else (b, a)
             active = linked.get(key)
             if active is not None:
-                if not (devices[a].powered_on and devices[b].powered_on):
-                    continue  # dropped below
                 limit = active.range_m * hysteresis
                 if d2 <= limit * limit:
                     survivors.add(key)
-                continue
-            if not (devices[a].powered_on and devices[b].powered_on):
                 continue
             class_key = (radio_class[key[0]] << 16) | radio_class[key[1]]
             entry = class_radio.get(class_key, _MISSING)

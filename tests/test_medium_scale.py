@@ -370,6 +370,45 @@ class TestEngineEquivalence:
             "150.0|contact|up|[('a', 'a'), ('b', 'b'), ('radio', 'p2p_wifi')]"
         ]
 
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_dark_radios_are_not_swept(self, batched):
+        """Duty cycling: 20 stationary devices 1 m apart share one index
+        cell, but only d00-d02 are on.  The tick sweeps those three alone
+        (3 distance checks; sweeping all 20 would be 190).  A link drops
+        at the first tick after an end powers off, including when one
+        radio is left on with a link up and there is no pair to sweep."""
+        sim, medium = make_world(batched=batched)
+        for i in range(20):
+            medium.add_device(
+                Device(f"d{i:02d}", StationaryModel(Point(float(i), 0.0)), powered_on=i < 3)
+            )
+        medium.start()
+        if batched:
+            assert medium.distance_checks == 3
+        assert medium.active_link_keys() == [("d00", "d01"), ("d00", "d02"), ("d01", "d02")]
+        sim.schedule_at(15.0, medium.devices["d01"].power_off)
+        sim.schedule_at(25.0, medium.devices["d00"].power_off)
+        sim.schedule_at(45.0, medium.devices["d07"].power_on)
+        sim.run(until=60.0)
+        medium.stop()
+
+        def contact(t, kind, a, b):
+            return f"{t!r}|contact|{kind}|[('a', '{a}'), ('b', '{b}'), ('radio', 'p2p_wifi')]"
+
+        assert [line for line in trace_lines(sim) if "|contact|" in line] == [
+            contact(0.0, "up", "d00", "d01"),
+            contact(0.0, "up", "d00", "d02"),
+            contact(0.0, "up", "d01", "d02"),
+            # d01 went dark at 15 s: both its links drop on the next tick.
+            contact(20.0, "down", "d00", "d01"),
+            contact(20.0, "down", "d01", "d02"),
+            # d00 went dark at 25 s: d02 is the only radio on, so nothing
+            # is swept, but the diff still drops the link.
+            contact(30.0, "down", "d00", "d02"),
+            contact(50.0, "up", "d02", "d07"),
+            contact(60.0, "down", "d02", "d07"),
+        ]
+
     def test_medium_tick_instrumentation_counts(self):
         sim, medium = make_world(batched=True)
         medium.add_device(Device("a", StationaryModel(Point(0, 0))))
