@@ -26,12 +26,12 @@ from typing import Callable, List, Tuple
 
 import pytest
 
+from repro.bench.traceid import trace_lines
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair, hybrid_decrypt, hybrid_encrypt
 from repro.crypto.session import SecureChannel
 from repro.experiments import GainesvilleStudy, ScenarioConfig
 from repro.metrics.report import format_table
-from repro.sim.engine import Simulator
 
 PAYLOAD = b"x" * 700  # a typical DATA packet: body + author cert + signature
 
@@ -133,13 +133,6 @@ def test_bench_session_rsa_amortised():
     assert sender.stats["frames_sent"] == 500
 
 
-def _trace_lines(sim: Simulator) -> List[str]:
-    return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
-    ]
-
-
 def _run_study(config: ScenarioConfig) -> Tuple[GainesvilleStudy, float]:
     study = GainesvilleStudy(config)
     start = time.process_time()
@@ -153,8 +146,8 @@ def test_bench_crypto_default_study_equivalence_and_speedup():
     measurably faster end to end (build + 7 simulated days + analysis)."""
     session_study, session_s = _run_study(ScenarioConfig(session_crypto=True))
     legacy_study, legacy_s = _run_study(ScenarioConfig(session_crypto=False))
-    session_lines = _trace_lines(session_study.sim)
-    assert session_lines == _trace_lines(legacy_study.sim)
+    session_lines = trace_lines(session_study.sim)
+    assert session_lines == trace_lines(legacy_study.sim)
     assert any("|message|received|" in line for line in session_lines)
     print()
     print(
@@ -187,4 +180,4 @@ def test_bench_crypto_smoke():
     config = dict(num_users=4, duration_days=1, total_posts=20, seed=77)
     session_study, _ = _run_study(ScenarioConfig(session_crypto=True, **config))
     legacy_study, _ = _run_study(ScenarioConfig(session_crypto=False, **config))
-    assert _trace_lines(session_study.sim) == _trace_lines(legacy_study.sim)
+    assert trace_lines(session_study.sim) == trace_lines(legacy_study.sim)

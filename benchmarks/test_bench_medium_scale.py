@@ -23,10 +23,11 @@ from __future__ import annotations
 import gc
 import random
 import time
-from typing import List, Tuple
+from typing import Tuple
 
 import pytest
 
+from repro.bench.traceid import trace_lines
 from repro.experiments import GainesvilleStudy, ScenarioConfig
 from repro.geo.region import Region
 from repro.geo.spatial_index import _NUMPY_SWEEP_MIN, SpatialHashIndex
@@ -98,14 +99,6 @@ def _best_elapsed(n: int, ticks: int, repeats: int) -> Tuple[float, float]:
     finally:
         if enabled:
             gc.enable()
-
-
-def _trace_lines(sim: Simulator) -> List[str]:
-    """Canonical byte representation of the full trace stream."""
-    return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
-    ]
 
 
 def test_bench_medium_scale_throughput():
@@ -194,7 +187,7 @@ def test_bench_medium_scale_equivalence(n, ticks, dark, monkeypatch):
             _duty_cycle(sim, medium, dark)
         medium.start()
         sim.run(until=ticks * TICK_S)
-        runs.append((_trace_lines(sim), medium.contacts.total_contacts()))
+        runs.append((trace_lines(sim), medium.contacts.total_contacts()))
     assert runs[0] == runs[1]
     # Only the batched tick sweeps, over the radios that are on: the
     # sampled ones are dark on the ticks from 120 s to 600 s.
@@ -210,7 +203,7 @@ def test_bench_medium_scale_smoke():
     sim_batched, medium_batched, _ = _run_world(48, True, ticks=6)
     sim_reference, _, _ = _run_world(48, False, ticks=6)
     assert medium_batched.tick_count == 7
-    assert _trace_lines(sim_batched) == _trace_lines(sim_reference)
+    assert trace_lines(sim_batched) == trace_lines(sim_reference)
 
 
 def test_bench_medium_default_study_trace_identical(study, study_result, monkeypatch):
@@ -221,8 +214,8 @@ def test_bench_medium_default_study_trace_identical(study, study_result, monkeyp
     reference = GainesvilleStudy(ScenarioConfig())
     reference.run()
     assert type(reference.medium) is PerDeviceMedium
-    batched_lines = _trace_lines(study.sim)
-    reference_lines = _trace_lines(reference.sim)
+    batched_lines = trace_lines(study.sim)
+    reference_lines = trace_lines(reference.sim)
     assert batched_lines == reference_lines
     contact_lines = [line for line in batched_lines if "|contact|" in line]
     assert contact_lines  # the comparison actually covered contacts

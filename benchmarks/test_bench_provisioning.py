@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import gc
 import time
-from typing import List, Tuple
+from typing import Tuple
 
 import pytest
 
+from repro.bench.traceid import trace_lines
 from repro.experiments import GainesvilleStudy, ScenarioConfig
 from repro.metrics.report import format_table
 from repro.pki.provisioning import KeypairPool
-from repro.sim.engine import Simulator
 from repro.social.digraph import SocialDigraph
 
 #: The density regime the sweep bench targets (users in the study area).
@@ -119,13 +119,6 @@ def test_bench_world_build_speedup(tmp_path):
     assert eager_s / lazy_s >= 10.0
 
 
-def _trace_lines(sim: Simulator) -> List[str]:
-    return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
-    ]
-
-
 def test_bench_default_study_equivalence_across_modes(tmp_path):
     """The acceptance bar: the default 10-user field study produces
     byte-identical delivery/delay traces under all three provisioning
@@ -137,7 +130,7 @@ def test_bench_default_study_equivalence_across_modes(tmp_path):
             ScenarioConfig(provisioning=mode, key_cache_dir=str(tmp_path / "keys"))
         )
         result = study.run()
-        traces[mode] = _trace_lines(study.sim)
+        traces[mode] = trace_lines(study.sim)
         deliveries[mode] = result.delivery.overall_delivery_ratio()
     assert any("|message|received|" in line for line in traces["eager"])
     assert traces["pooled"] == traces["eager"]
@@ -166,6 +159,6 @@ def test_bench_provisioning_smoke(tmp_path):
     for mode in ("eager", "pooled", "lazy"):
         study = GainesvilleStudy(ScenarioConfig(provisioning=mode, **config))
         study.run()
-        traces[mode] = _trace_lines(study.sim)
+        traces[mode] = trace_lines(study.sim)
     assert traces["pooled"] == traces["eager"]
     assert traces["lazy"] == traces["eager"]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks: module doctests + markdown link integrity.
 
-Run from the repo root (the CI docs lane does)::
+Run from the repo root (``tests/test_docs.py`` does)::
 
     PYTHONPATH=src python scripts/check_docs.py
 

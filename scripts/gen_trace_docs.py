@@ -6,7 +6,7 @@ Run from the repo root after editing
 
     PYTHONPATH=src python scripts/gen_trace_docs.py
 
-``scripts/check_docs.py`` (the CI docs lane) fails when the file on
+``scripts/check_docs.py`` (run by ``tests/test_docs.py``) fails when the file on
 disk differs from the registry, and ``repro lint`` fails when the
 registry differs from the code, so the three can never drift apart
 silently.

@@ -1,11 +1,11 @@
 """Canonical trace identity.
 
 Every equivalence assertion in the repo compares traces rendered as
-``time|category|kind|sorted(data)`` lines (``tests/worldutil.trace_lines``
-and the per-benchmark copies).  The bench artifacts pin the same
-rendering as *the* canonical byte representation, hashed with sha256,
-so an artifact's ``trace_sha256`` is directly comparable with the
-runtime determinism guard in ``tests/test_invariants.py``.
+``time|category|kind|sorted(data)`` lines by :func:`trace_lines`, which
+the tests and benches import (``tests/worldutil.trace_lines`` adds a
+category filter).  The bench artifacts hash the same rendering with
+sha256, so an artifact's ``trace_sha256`` is directly comparable with
+the runtime determinism guard in ``tests/test_invariants.py``.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         metavar="DIR",
         default=None,
         help="on-disk keypair-pool directory for --provisioning pooled/lazy "
-        "(default: $REPRO_KEY_CACHE, else memory-only)",
+        "(default: memory-only)",
     )
     parser.add_argument(
         "--workers",
@@ -239,8 +239,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Static analysis for determinism and simulation hygiene.
 
     Exit 0 = clean, 1 = findings, 2 = bad invocation.  ``--strict``
-    (the CI lane) additionally rejects suppressions with no
-    justification, unknown rule names, and stale ignores.
+    (what the tier-1 tree contract runs) additionally rejects
+    suppressions with no justification, unknown rule names, and stale
+    ignores.
     """
     from repro.analysis.runner import list_rules, run_lint
 
@@ -406,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--strict",
         action="store_true",
         help="also fail on suppression-hygiene findings (no justification, "
-        "unknown rule, stale ignore); the CI lint lane runs this",
+        "unknown rule, stale ignore); the tier-1 suite runs this",
     )
     lint.add_argument(
         "--format",

@@ -18,7 +18,7 @@ from repro.alleyoop import AlleyOopApp, CloudService
 from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.faults import FaultInjector
-from repro.pki.provisioning import KeypairPool, default_cache_dir, provision_user
+from repro.pki.provisioning import KeypairPool, provision_user
 from repro.experiments.scenario import ScenarioConfig
 from repro.geo.region import Region
 from repro.metrics.collector import TraceCollector
@@ -172,7 +172,7 @@ class GainesvilleStudy:
         # stats; pooled mode prefetches every user's key pair up front —
         # in parallel when the scenario asks for workers.
         if cfg.provisioning in ("pooled", "lazy"):
-            self.keypair_pool = KeypairPool(cfg.key_cache_dir or default_cache_dir())
+            self.keypair_pool = KeypairPool(cfg.key_cache_dir)
         else:
             self.keypair_pool = None
         if cfg.provisioning == "pooled":

@@ -124,7 +124,8 @@ class ScenarioConfig:
     #: exist to make large-N secured world builds tractable.
     provisioning: str = "eager"
     #: On-disk keypair-pool directory for ``provisioning="pooled"``/"lazy";
-    #: ``None`` falls back to ``$REPRO_KEY_CACHE`` (memory-only if unset).
+    #: ``None`` keeps the pool in memory only.  The one way to name a
+    #: key cache, so the config records whether a build could hit one.
     key_cache_dir: Optional[str] = None
     #: Worker processes for the pooled-mode keypair prefetch (1 = serial;
     #: results are identical at any worker count).

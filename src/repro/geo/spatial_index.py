@@ -1,27 +1,22 @@
-"""Uniform-grid spatial hashing for neighbour queries.
+"""Uniform-grid spatial hashing for the contact tick's pair sweep.
 
-The radio medium asks "who is within R metres of me?" on every beacon; a
-naive all-pairs scan is O(n^2) per tick.  A uniform grid with cell size ~R
-answers it by inspecting at most 9 cells.
+The radio medium asks once per tick "which radios are within R metres of
+each other?"; a naive all-pairs scan is O(n^2) per tick.  A uniform grid
+with cell size ~R answers it with a pair sweep
+(:meth:`SpatialHashIndex.pairs_within`): every unordered pair closer than
+R is enumerated exactly once, by pairing each occupied cell with itself
+and with a half-neighbourhood of adjacent cells, so the sweep needs no
+dedup set.
 
-Two access patterns are served:
-
-* per-item radius queries (:meth:`SpatialHashIndex.within`) — one device
-  asking for its neighbours, and
-* a whole-population pair sweep (:meth:`SpatialHashIndex.pairs_within`) —
-  enumerate every unordered pair closer than R exactly once, by pairing
-  each occupied cell with itself and with a half-neighbourhood of adjacent
-  cells.  The batched medium tick uses this; it halves the distance
-  computations of the per-device pattern and needs no dedup set.
-
-Cells are deleted as soon as they empty so a roaming population does not
-accumulate unbounded empty ``set()`` entries over long runs.
+The index holds one tick's snapshot: :meth:`SpatialHashIndex.update_many`
+replaces the whole indexed population, and each sweep buckets that
+snapshot into cells afresh.  No cell outlives the sweep that built it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,122 +28,27 @@ _NUMPY_SWEEP_MIN = 192
 
 
 class SpatialHashIndex:
-    """Maps hashable items to positions and serves radius queries."""
+    """A snapshot of item positions, swept for close pairs on a grid."""
 
     def __init__(self, cell_size: float = 100.0) -> None:
         if cell_size <= 0:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
         self.cell_size = float(cell_size)
-        self._cells: Dict[Tuple[int, int], Set[Hashable]] = {}
-        self._positions: Dict[Hashable, Point] = {}
+        self._items: List[Tuple[Hashable, Point]] = []
         #: Cumulative candidate distance computations performed by
-        #: queries — the work a better access pattern compresses.
+        #: sweeps — the work a better access pattern compresses.
         self.distance_checks = 0
 
-    def _cell_of(self, p: Point) -> Tuple[int, int]:
-        return (int(math.floor(p.x / self.cell_size)), int(math.floor(p.y / self.cell_size)))
-
-    def update(self, item: Hashable, position: Point) -> None:
-        """Insert or move ``item``."""
-        old = self._positions.get(item)
-        if old is not None:
-            old_cell = self._cell_of(old)
-            new_cell = self._cell_of(position)
-            if old_cell != new_cell:
-                self._discard_from_cell(old_cell, item)
-                self._cells.setdefault(new_cell, set()).add(item)
-        else:
-            cell = self._cell_of(position)
-            self._cells.setdefault(cell, set()).add(item)
-        self._positions[item] = position
-
     def update_many(self, items: Iterable[Tuple[Hashable, Point]]) -> None:
-        """Bulk :meth:`update`: move the whole population in one call.
+        """Replace the indexed population with ``items``.
 
-        Equivalent to calling ``update`` per item but with the dictionary
-        lookups hoisted out of the loop — the shape the batched medium
-        tick feeds once per tick.
+        ``items`` are ``(item, position)`` pairs with distinct items —
+        the shape the medium tick feeds once per tick.
         """
-        cells = self._cells
-        positions = self._positions
-        size = self.cell_size
-        floor = math.floor
-        for item, position in items:
-            old = positions.get(item)
-            if old is position:
-                continue  # unmoved (paused / stationary models return the same object)
-            positions[item] = position
-            new_cell = (int(floor(position.x / size)), int(floor(position.y / size)))
-            if old is not None:
-                old_cell = (int(floor(old.x / size)), int(floor(old.y / size)))
-                if old_cell == new_cell:
-                    continue
-                members = cells.get(old_cell)
-                if members is not None:
-                    members.discard(item)
-                    if not members:
-                        del cells[old_cell]
-            bucket = cells.get(new_cell)
-            if bucket is None:
-                cells[new_cell] = {item}
-            else:
-                bucket.add(item)
-
-    def remove(self, item: Hashable) -> None:
-        pos = self._positions.pop(item, None)
-        if pos is not None:
-            self._discard_from_cell(self._cell_of(pos), item)
-
-    def _discard_from_cell(self, cell: Tuple[int, int], item: Hashable) -> None:
-        members = self._cells.get(cell)
-        if members is None:
-            return
-        members.discard(item)
-        if not members:
-            del self._cells[cell]
-
-    def position_of(self, item: Hashable) -> Point:
-        return self._positions[item]
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._positions
+        self._items = list(items)
 
     def __len__(self) -> int:
-        return len(self._positions)
-
-    @property
-    def occupied_cells(self) -> int:
-        """Number of non-empty grid cells currently allocated."""
-        return len(self._cells)
-
-    def items(self) -> Iterable:
-        return self._positions.items()
-
-    def within(self, center: Point, radius: float, exclude: Hashable = None) -> List[Hashable]:
-        """All items with ``distance <= radius`` of ``center``."""
-        if radius < 0:
-            return []
-        reach = int(math.ceil(radius / self.cell_size))
-        cx, cy = self._cell_of(center)
-        out = []
-        checked = 0
-        r2 = radius * radius
-        for gx in range(cx - reach, cx + reach + 1):
-            for gy in range(cy - reach, cy + reach + 1):
-                cell = self._cells.get((gx, gy))
-                if not cell:
-                    continue
-                checked += len(cell)
-                for item in cell:
-                    if item == exclude:
-                        continue
-                    p = self._positions[item]
-                    dx = p.x - center.x
-                    dy = p.y - center.y
-                    if dx * dx + dy * dy <= r2:
-                        out.append(item)
-        self.distance_checks += checked
-        return out
+        return len(self._items)
 
     def pairs_within(
         self,
@@ -175,34 +75,31 @@ class SpatialHashIndex:
             return []
         if reach_of is not None and max(reach_of.values(), default=0.0) > radius:
             raise ValueError("reach_of values must not exceed the sweep radius")
-        if len(self._positions) >= _NUMPY_SWEEP_MIN:
+        if len(self._items) >= _NUMPY_SWEEP_MIN:
             return self._pairs_within_numpy(radius, reach_of)
-        r2 = radius * radius
-        span = int(math.ceil(radius / self.cell_size))
+        size = self.cell_size
+        span = int(math.ceil(radius / size))
         offsets = [
             (dx, dy)
             for dx in range(0, span + 1)
             for dy in range(-span, span + 1)
             if dx > 0 or (dx == 0 and dy > 0)
         ]
-        positions = self._positions
-        # Extract coordinates (and squared cutoffs) once per member; for
-        # non-negative reaches min(a, b)^2 == min(a^2, b^2), so squaring
-        # here saves a multiply per candidate pair below.
+        # Bucket the snapshot into cells, extracting coordinates (and
+        # squared cutoffs) once per member; for non-negative reaches
+        # min(a, b)^2 == min(a^2, b^2), so squaring here saves a multiply
+        # per candidate pair below.
+        floor = math.floor
         coords: Dict[Tuple[int, int], List[Tuple[float, float, float, Hashable]]] = {}
-        if reach_of is None:
-            for cell, members in self._cells.items():
-                coords[cell] = [
-                    (p.x, p.y, r2, m) for m in members for p in (positions[m],)
-                ]
-        else:
-            for cell, members in self._cells.items():
-                coords[cell] = [
-                    (p.x, p.y, r * r, m)
-                    for m in members
-                    for p in (positions[m],)
-                    for r in (reach_of[m],)
-                ]
+        for item, p in self._items:
+            r = radius if reach_of is None else reach_of[item]
+            cell = (int(floor(p.x / size)), int(floor(p.y / size)))
+            member = (p.x, p.y, r * r, item)
+            bucket = coords.get(cell)
+            if bucket is None:
+                coords[cell] = [member]
+            else:
+                bucket.append(member)
         out: List[Tuple[Hashable, Hashable, float]] = []
         append = out.append
         get = coords.get
@@ -242,27 +139,27 @@ class SpatialHashIndex:
         """Vectorised :meth:`pairs_within`: same contract, same cell
         geometry, with the per-cell cross joins generated as array ops.
 
-        Cells are recomputed from positions with the exact `_cell_of`
-        arithmetic (``floor(x / cell_size)``), so membership matches the
-        incrementally maintained buckets bit for bit; distances are plain
-        float64 subtract/multiply/add, identical to the Python loop.
+        Cells come from the same ``floor(x / cell_size)`` arithmetic as
+        the Python sweep, so membership matches it bit for bit;
+        distances are plain float64 subtract/multiply/add, identical to
+        the Python loop.
         """
-        positions = self._positions
-        n = len(positions)
+        snapshot = self._items
+        n = len(snapshot)
         xs = np.empty(n, dtype=np.float64)
         ys = np.empty(n, dtype=np.float64)
         cut2 = np.empty(n, dtype=np.float64)
         items: List[Hashable] = [None] * n
         i = 0
         if reach_of is None:
-            for item, p in positions.items():
+            for item, p in snapshot:
                 items[i] = item
                 xs[i] = p.x
                 ys[i] = p.y
                 i += 1
             cut2.fill(radius * radius)
         else:
-            for item, p in positions.items():
+            for item, p in snapshot:
                 items[i] = item
                 xs[i] = p.x
                 ys[i] = p.y

@@ -22,13 +22,14 @@ devices:
 * **Batched mobility** — devices are grouped by mobility class and each
   class advances its whole group through one
   :meth:`~repro.mobility.base.MobilityModel.positions_at` call, then the
-  spatial index absorbs every move via
+  spatial index takes the tick's positions as one snapshot via
   :meth:`~repro.geo.spatial_index.SpatialHashIndex.update_many`.
 * **Only radios that are on are indexed** — a dark radio can neither
-  raise nor keep a link, so the tick drops it from the index and sweeps
-  only when two or more remain; the link diff always runs.  Every device
-  still moves: the working-day venue wander advances only when queried,
-  on the RNG that day generation shares, and ``last_position`` feeds Fig. 4b.
+  raise nor keep a link, so the tick leaves it out of the snapshot and
+  sweeps only when two or more radios are on; the link diff always runs.
+  Every device still moves: the working-day venue wander advances only
+  when queried, on the RNG that day generation shares, and
+  ``last_position`` feeds Fig. 4b.
 * **One pair sweep per tick** — instead of one radius query per device
   (which visits every pair twice and dedups with a ``seen`` set), the
   index enumerates each candidate pair exactly once with
@@ -38,9 +39,9 @@ devices:
   (``best_common_radio``) runs once per pair ever, cached, because radio
   sets are immutable.
 
-Link events are emitted in sorted pair order within a tick, which makes
-contact traces byte-identical across processes (cell sets iterate in
-hash order, so unsorted emission would depend on ``PYTHONHASHSEED``).
+Link events are emitted in sorted pair order within a tick, so the
+trace does not depend on the order in which the sweep finds pairs (that
+follows grid cells and mobility groups).
 The seed algorithm — one radius query per device, pair-set rediff —
 lives on as a test oracle, ``PerDeviceMedium`` in
 ``tests/medium_oracle.py``: ``tests/test_medium_scale.py`` and
@@ -126,8 +127,11 @@ class Medium:
         The medium snapshots the device's mobility object and radio set
         here; neither may be swapped while the device is registered
         (``remove_device`` + ``add_device`` to change them).  Power
-        state may change freely at any time.  Its position is always
-        queried (see "The tick"), but indexed only while its radio is on.
+        state may change freely at any time.  Its position is queried
+        here and on every tick whatever its power state: mobility models
+        advance on query, so a skipped query would change their draw
+        order (see "The tick").  Only the tick indexes positions, and
+        only of radios that are on.
         """
         if device.device_id in self.devices:
             raise ValueError(f"duplicate device id {device.device_id!r}")
@@ -140,9 +144,7 @@ class Medium:
             set_id = len(self._radio_set_ids)
             self._radio_set_ids[device.radios] = set_id
         self._radio_class[device.device_id] = set_id
-        position = device.position_at(self.sim.now)
-        if device.powered_on:
-            self._index.update(device.device_id, position)
+        device.position_at(self.sim.now)
         self._groups = None
 
     def remove_device(self, device_id: str) -> None:
@@ -155,7 +157,6 @@ class Medium:
         for key in sorted(k for k in self._linked if device_id in k):
             self._drop_link(key)
         del self.devices[device_id]
-        self._index.remove(device_id)
         self._reach.pop(device_id, None)
         self._radio_class.pop(device_id, None)
         self._groups = None
@@ -187,19 +188,17 @@ class Medium:
         started = time.process_time()  # repro: ignore[nondet-wallclock] -- bench instrumentation only: the reading accumulates into tick_cpu_s, which is reported by benchmarks and never reaches simulation state, scheduling or the trace.
         now = self.sim.now
         # Move everyone, one batch call per mobility class; index radios that are on.
-        index = self._index
+        lit = []
         for mobility_cls, group_devices, models in self._mobility_groups():
             points = mobility_cls.positions_at(models, now)
-            lit = []
             for device, position in zip(group_devices, points):
                 device._last_position = position
                 if device.powered_on:
                     lit.append((device.device_id, position))
-                else:
-                    index.remove(device.device_id)
-            index.update_many(lit)
+        index = self._index
+        index.update_many(lit)
         sweep = self._max_range * self.hysteresis
-        candidates = index.pairs_within(sweep, reach_of=self._reach) if len(index) > 1 else []
+        candidates = index.pairs_within(sweep, reach_of=self._reach) if len(lit) > 1 else []
         self._apply_candidates(candidates)
         self.tick_cpu_s += time.process_time() - started  # repro: ignore[nondet-wallclock] -- bench instrumentation only: see above.
 
@@ -207,7 +206,7 @@ class Medium:
         """Devices bucketed by mobility class (cached between ticks)."""
         if self._groups is None:
             buckets: Dict[type, Tuple[type, List[Device], list]] = {}
-            # repro: ignore[nondet-iter] -- order cannot reach the trace: registry order only decides the order of the batched positions_at/update_many calls; every device's position lands in the same final index state, and link events are diffed from that state and emitted in sorted pair order (_apply_candidates).
+            # repro: ignore[nondet-iter] -- order cannot reach the trace: registry order only decides the order of the batched positions_at calls and of the snapshot handed to update_many; the sweep's candidate set does not depend on that order, and link events are emitted in sorted pair order (_apply_candidates).
             for device in self.devices.values():
                 cls = type(device.mobility)
                 entry = buckets.get(cls)

@@ -63,9 +63,6 @@ from repro.sim.parallel import parallel_map
 #: The three provisioning strategies, in reference-first order.
 PROVISIONING_MODES = ("eager", "pooled", "lazy")
 
-#: Environment variable naming a default on-disk key cache directory.
-KEY_CACHE_ENV = "REPRO_KEY_CACHE"
-
 #: On-disk key file magic/version line.  Bumped whenever key generation
 #: changes, so a warm cache cannot serve keys the generator no longer makes.
 _KEY_MAGIC = "SOSKEY2"
@@ -81,11 +78,6 @@ def signup_drbg_seed(scenario_seed: int, index: int) -> int:
     the original eager study build used, so default traces are unchanged.
     """
     return scenario_seed * 104729 + index
-
-
-def default_cache_dir() -> Optional[str]:
-    """The ``$REPRO_KEY_CACHE`` directory, or ``None`` for memory-only."""
-    return os.environ.get(KEY_CACHE_ENV) or None
 
 
 def _generate_pool_entry(task: Tuple[int, int, int]) -> Tuple[int, RsaKeyPair]:
@@ -253,8 +245,9 @@ def provision_user(
         now: Simulation time of the sign-up.
         key_bits: RSA modulus size.
         mode: One of :data:`PROVISIONING_MODES`.
-        pool: Keypair source for ``pooled`` (created ad hoc when omitted)
-            and, optionally, for ``lazy`` materialisation.
+        pool: Keypair source for ``pooled`` (a memory-only pool is
+            created ad hoc when omitted) and, optionally, for ``lazy``
+            materialisation.
 
     Returns:
         The sign-up result; its ``keystore`` is ready for middleware use.
@@ -273,7 +266,7 @@ def provision_user(
             cloud, username, rng=HmacDrbg.from_int(drbg_seed), now=now, key_bits=key_bits
         )
     if mode == "pooled":
-        pool = pool if pool is not None else KeypairPool(default_cache_dir())
+        pool = pool if pool is not None else KeypairPool()
         keypair = pool.get(key_bits, seed, index)
         return sign_up(
             cloud,

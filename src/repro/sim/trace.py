@@ -10,7 +10,7 @@ events on each phone and post-processing them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List
 
 
 @dataclass(frozen=True)
@@ -37,17 +37,14 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` records and serves filtered views."""
+    """Collects :class:`TraceEvent` records in emission order."""
 
     def __init__(self) -> None:
         self._events: List[TraceEvent] = []
         self._subscribers: List[Callable[[TraceEvent], None]] = []
-        self.enabled = True
 
     def emit(self, time: float, category: str, kind: str, **data: Any) -> None:
-        """Record one event (no-op when disabled)."""
-        if not self.enabled:
-            return
+        """Record one event."""
         event = TraceEvent(time=time, category=category, kind=kind, data=data)
         self._events.append(event)
         for subscriber in self._subscribers:
@@ -57,35 +54,8 @@ class TraceRecorder:
         """Invoke ``callback`` for every subsequently emitted event."""
         self._subscribers.append(callback)
 
-    def clear(self) -> None:
-        self._events.clear()
-
     def __len__(self) -> int:
         return len(self._events)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    def select(
-        self,
-        category: Optional[str] = None,
-        kind: Optional[str] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> List[TraceEvent]:
-        """Return events matching all provided filters, in time order."""
-        out = []
-        for event in self._events:
-            if category is not None and event.category != category:
-                continue
-            if kind is not None and event.kind != kind:
-                continue
-            if since is not None and event.time < since:
-                continue
-            if until is not None and event.time > until:
-                continue
-            out.append(event)
-        return out
-
-    def count(self, category: Optional[str] = None, kind: Optional[str] = None) -> int:
-        return len(self.select(category=category, kind=kind))

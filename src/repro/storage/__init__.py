@@ -6,15 +6,12 @@ available" (paper §V).  This package supplies that local database:
 
 * :mod:`repro.storage.actionlog` — an append-only, sequence-numbered log
   of user actions (post / follow / unfollow),
-* :mod:`repro.storage.kvstore` — a small transactional key-value store
-  used for app preferences and middleware state,
 * :mod:`repro.storage.messagestore` — the per-author message store whose
   high-water marks become the plain-text advertisement dictionary,
 * :mod:`repro.storage.syncqueue` — the at-least-once cloud sync queue.
 """
 
 from repro.storage.actionlog import Action, ActionKind, ActionLog
-from repro.storage.kvstore import KeyValueStore
 from repro.storage.messagestore import MessageStore, StoredMessage
 from repro.storage.syncqueue import SyncQueue
 
@@ -22,7 +19,6 @@ __all__ = [
     "Action",
     "ActionKind",
     "ActionLog",
-    "KeyValueStore",
     "MessageStore",
     "StoredMessage",
     "SyncQueue",

@@ -265,7 +265,7 @@ class TestAppBehaviour:
         world.start()
         alice.post("traced")
         world.run(120.0)
-        events = world.sim.trace.select(category="app", kind="feed")
+        events = [e for e in world.sim.trace if (e.category, e.kind) == ("app", "feed")]
         assert events and events[0].data["owner"] == bob.user_id
 
 
@@ -284,7 +284,9 @@ class TestBulkFollow:
         batched = dave.actions.of_kind(ActionKind.FOLLOW_MANY)
         assert len(batched) == 1  # one compact record for the whole batch
         assert batched[0].payload["targets"] == tuple(targets)  # input order
-        events = world.sim.trace.select(category="social", kind="follow_many")
+        events = [
+            e for e in world.sim.trace if (e.category, e.kind) == ("social", "follow_many")
+        ]
         assert [e.data["followees"] for e in events] == [tuple(targets)]
 
     def test_single_cloud_round(self, world):

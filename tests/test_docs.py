@@ -1,5 +1,6 @@
-"""Tier-1 guard for the CI docs lane: the doc checker must pass locally
-too, so a broken doctest or dead link fails fast instead of at CI."""
+"""Tier-1 runs the doc checker (module doctests, markdown links, the
+trace catalogue's drift), so a broken doctest or dead link fails the
+suite; CI runs it in the ``tests`` job."""
 
 import os
 import subprocess

@@ -31,7 +31,6 @@ from repro.faults.randomness import choice_index, expovariate, uniform, uniform_
 from repro.geo.point import Point
 from repro.sim.engine import Simulator
 from repro.storage.actionlog import ActionKind, ActionLog
-from repro.storage.kvstore import KeyValueStore
 from repro.storage.syncqueue import SyncQueue
 from tests.worldutil import World, trace_lines
 
@@ -594,35 +593,6 @@ class TestResilientSync:
 
 
 # -- satellite regressions ----------------------------------------------------------
-
-
-class TestKeyValueStoreRollback:
-    def test_keyboard_interrupt_rolls_back(self):
-        store = KeyValueStore()
-        store.put("a", 1)
-        with pytest.raises(KeyboardInterrupt):
-            with store.transaction() as txn:
-                txn.put("a", 2)
-                txn.put("b", 3)
-                raise KeyboardInterrupt()
-        assert store.get("a") == 1
-        assert "b" not in store
-
-    def test_generator_exit_rolls_back(self):
-        store = KeyValueStore()
-        with pytest.raises(GeneratorExit):
-            with store.transaction() as txn:
-                txn.put("half", "applied")
-                raise GeneratorExit()
-        assert "half" not in store
-
-    def test_plain_exception_still_rolls_back(self):
-        store = KeyValueStore()
-        with pytest.raises(RuntimeError):
-            with store.transaction() as txn:
-                txn.put("x", 1)
-                raise RuntimeError("boom")
-        assert "x" not in store
 
 
 class TestSyncQueueExceptionSafety:

@@ -159,7 +159,9 @@ class TestFollowGossip:
             signature=b"", author_cert=b"", hops=1, received_at=0.0,
         )
         alice.sos_message_received(misshapen, "relay")
-        events = alice.sim.trace.select(category="app", kind="malformed_payload")
+        events = [
+            e for e in alice.sim.trace if (e.category, e.kind) == ("app", "malformed_payload")
+        ]
         assert len(events) == 2
         assert events[0].data["author"] == bob.user_id
         assert alice.timeline() == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.geo import Place, PlaceKind, Point, Region, SpatialHashIndex, distance, midpoint
 from repro.geo.region import GAINESVILLE_AREA
 from repro.geo.spatial_index import _NUMPY_SWEEP_MIN
+from tests.medium_oracle import PerItemGrid
 
 coords = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -74,37 +75,25 @@ class TestRegion:
 
 
 class TestSpatialHashIndex:
+    """The per-item radius query of the seed index, which lives on in
+    the per-device oracle's grid, and the snapshot index's validation."""
+
     def test_within_radius(self):
-        index = SpatialHashIndex(cell_size=10)
+        index = PerItemGrid(cell_size=10)
         index.update("a", Point(0, 0))
         index.update("b", Point(5, 0))
         index.update("c", Point(50, 50))
         assert sorted(index.within(Point(0, 0), 10)) == ["a", "b"]
 
     def test_exclude(self):
-        index = SpatialHashIndex(cell_size=10)
+        index = PerItemGrid(cell_size=10)
         index.update("a", Point(0, 0))
         index.update("b", Point(1, 0))
         assert index.within(Point(0, 0), 10, exclude="a") == ["b"]
 
-    def test_update_moves_item(self):
-        index = SpatialHashIndex(cell_size=10)
-        index.update("a", Point(0, 0))
-        index.update("a", Point(100, 100))
-        assert index.within(Point(0, 0), 5) == []
-        assert index.within(Point(100, 100), 5) == ["a"]
-        assert len(index) == 1
-
-    def test_remove(self):
-        index = SpatialHashIndex(cell_size=10)
-        index.update("a", Point(0, 0))
-        index.remove("a")
-        assert "a" not in index
-        assert index.within(Point(0, 0), 10) == []
-
     def test_matches_brute_force(self):
         rng = random.Random(7)
-        index = SpatialHashIndex(cell_size=37.0)
+        index = PerItemGrid(cell_size=37.0)
         points = {}
         for i in range(200):
             p = Point(rng.uniform(0, 1000), rng.uniform(0, 1000))
@@ -119,7 +108,7 @@ class TestSpatialHashIndex:
             assert sorted(index.within(center, radius)) == expected
 
     def test_boundary_inclusive(self):
-        index = SpatialHashIndex(cell_size=10)
+        index = PerItemGrid(cell_size=10)
         index.update("edge", Point(10, 0))
         assert index.within(Point(0, 0), 10) == ["edge"]
 
@@ -142,7 +131,8 @@ def _brute_force_pairs(points, radius, reach_of=None):
 
 class TestSpatialIndexBoundaries:
     """Edge geometry the pair sweep leans on: items exactly on cell
-    boundaries, sweep radius equal to the cell size, cell churn."""
+    boundaries, sweep radius equal to the cell size, and each
+    ``update_many`` replacing the whole snapshot."""
 
     def test_pairs_on_exact_cell_edges(self):
         # Items sitting exactly on cell corners land in the cell whose
@@ -158,8 +148,7 @@ class TestSpatialIndexBoundaries:
             "negedge": Point(-10.0, 0.0),
             "inside": Point(5.0, 5.0),
         }
-        for item, p in points.items():
-            index.update(item, p)
+        index.update_many(points.items())
         radius = 10.0
         got = [(a, b) if a <= b else (b, a) for a, b, _ in index.pairs_within(radius)]
         assert len(got) == len(set(got)), "pair emitted twice"
@@ -210,11 +199,10 @@ class TestSpatialIndexBoundaries:
         # is out.  This is the arithmetic the tick and its per-device
         # oracle must share.
         index = SpatialHashIndex(cell_size=50)
-        index.update("a", Point(0, 0))
-        index.update("b", Point(30.0, 0))
+        index.update_many([("a", Point(0, 0)), ("b", Point(30.0, 0))])
         reach = {"a": 30.0, "b": 100.0}
-        # Within-pair order follows set iteration (hash-seed dependent
-        # and documented as "no particular order"): normalise it.
+        # Within-pair order is documented as "no particular order":
+        # normalise it.
         assert [
             (a, b) if a <= b else (b, a)
             for a, b, _ in index.pairs_within(100.0, reach_of=reach)
@@ -222,30 +210,17 @@ class TestSpatialIndexBoundaries:
         reach["a"] = math.nextafter(30.0, 0.0)
         assert index.pairs_within(100.0, reach_of=reach) == []
 
-    def test_update_many_cell_churn_reclaims_cells(self):
-        # Emptied cells are deleted (no unbounded set() accumulation)
-        # and re-entering a reclaimed cell works.
-        size = 10.0
-        index = SpatialHashIndex(cell_size=size)
-        items = [f"walker{i}" for i in range(8)]
-        index.update_many((item, Point(5.0, 5.0)) for item in items)
-        assert index.occupied_cells == 1
-        for step in range(1, 30):
-            index.update_many((item, Point(5.0 + step * size, 5.0)) for item in items)
-            assert index.occupied_cells == 1
-        index.update_many((item, Point(5.0, 5.0)) for item in items)
-        assert index.occupied_cells == 1
-        assert sorted(index.within(Point(5.0, 5.0), 1.0)) == sorted(items)
-
-    def test_update_many_same_object_short_circuit(self):
-        # update_many skips items whose Point object is unchanged (the
-        # stationary-device fast path); the entry must stay queryable.
+    def test_update_many_replaces_the_snapshot(self):
+        # Each update_many is a whole tick's population: items of the
+        # previous snapshot are gone, so they can no longer pair.
         index = SpatialHashIndex(cell_size=10)
-        home = Point(3.0, 4.0)
-        index.update("parked", home)
-        index.update_many([("parked", home)])
-        assert index.within(Point(3.0, 4.0), 1.0) == ["parked"]
-        assert index.occupied_cells == 1
+        index.update_many([("old1", Point(0, 0)), ("old2", Point(1, 0))])
+        index.update_many(
+            [("new1", Point(0, 0)), ("new2", Point(2, 0)), ("far", Point(90, 0))]
+        )
+        assert len(index) == 3
+        got = {(a, b) if a <= b else (b, a) for a, b, _ in index.pairs_within(10.0)}
+        assert got == {("new1", "new2")}
 
 
 class TestPlace:

@@ -149,7 +149,7 @@ class TestDeterminism:
             "from repro.bench.runner import run_point\n"
             "print(run_point(json.loads(sys.argv[1]))[1])\n"
         )
-        env = {key: value for key, value in os.environ.items() if key != "REPRO_KEY_CACHE"}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             path for path in (str(repo / "src"), env.get("PYTHONPATH")) if path
         )

@@ -503,12 +503,13 @@ class TestSuppressions:
 class TestTreeContract:
     """The acceptance gate: the shipped tree lints clean, strictly."""
 
-    def test_full_src_tree_is_clean_in_strict_mode(self):
-        stream = io.StringIO()
-        exit_code = run_lint(
-            ["src"], strict=True, root=REPO_ROOT, stream=stream
-        )
-        assert exit_code == 0, stream.getvalue()
+    def test_full_src_tree_is_clean_in_strict_mode(self, monkeypatch, capsys):
+        # Through the CLI, as a developer runs it from the repo root.
+        from repro.cli import main
+
+        monkeypatch.chdir(REPO_ROOT)
+        exit_code = main(["lint", "--strict"])
+        assert exit_code == 0, capsys.readouterr().out
 
     def test_every_tree_suppression_is_justified(self):
         config = LintConfig(root=REPO_ROOT)

@@ -4,8 +4,8 @@ link-lifecycle bugfix sweep that rode along with it:
 * ``Medium.remove_device`` fires link-down callbacks (it used to pop the
   device first and silently skip them),
 * hysteresis survival is keyed to the radio the link was *raised* on,
-* ``SpatialHashIndex`` deletes emptied cells (unbounded-memory fix) and
-  serves the new ``update_many`` / ``pairs_within`` batch APIs,
+* ``SpatialHashIndex`` serves the ``update_many`` / ``pairs_within``
+  batch APIs,
 * ``Simulator`` compacts cancelled events out of the heap,
 * BubbleRap's encounter window is a deque (O(1) expiry),
 * the batched tick and the per-device oracle (``tests/medium_oracle.py``)
@@ -79,6 +79,11 @@ class TestRemoveDeviceCallbacks:
         # The contact interval was closed, too.
         assert medium.contacts.active_count == 0
         assert medium.contacts.total_contacts() == 1
+        # Later ticks no longer see b: no link to it comes back.
+        sim.run(until=40.0)
+        assert medium.neighbours_of("a") == []
+        assert medium.contacts.total_contacts() == 1
+        assert downs == [("a", "b", P2P_WIFI)]
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_remove_unknown_device_is_noop(self, batched):
@@ -133,64 +138,29 @@ class TestHysteresisRadioKeying:
 
 
 class TestSpatialIndexCellLeak:
-    def test_cells_deleted_when_emptied_single_roamer(self):
-        index = SpatialHashIndex(cell_size=10.0)
-        for step in range(500):
-            index.update("walker", Point(step * 10.0, 0.0))
-            assert index.occupied_cells == 1
-        index.remove("walker")
-        assert index.occupied_cells == 0
-        assert len(index) == 0
-
-    def test_cell_count_bounded_under_moving_population(self):
-        """Seed bug: update/remove left empty ``set()`` entries in the
-        defaultdict forever, a true leak over 7-day runs at scale."""
-        index = SpatialHashIndex(cell_size=25.0)
-        rng = random.Random(7)
-        population = 40
-        for step in range(200):
-            for i in range(population):
-                index.update(i, Point(rng.uniform(0, 5000), rng.uniform(0, 5000)))
-            assert index.occupied_cells <= population
-        for i in range(population):
-            index.remove(i)
-        assert index.occupied_cells == 0
-
-    def test_update_many_matches_update(self):
-        loop_index = SpatialHashIndex(cell_size=50.0)
-        bulk_index = SpatialHashIndex(cell_size=50.0)
-        rng = random.Random(13)
-        for step in range(30):
-            moves = [
-                (i, Point(rng.uniform(-400, 400), rng.uniform(-400, 400)))
-                for i in range(25)
-            ]
-            for item, p in moves:
-                loop_index.update(item, p)
-            bulk_index.update_many(moves)
-            assert loop_index.occupied_cells == bulk_index.occupied_cells
-            assert sorted(loop_index.within(Point(0, 0), 300.0)) == sorted(
-                bulk_index.within(Point(0, 0), 300.0)
-            )
+    """The snapshot index's pair sweep against brute force, and its
+    per-item reach cutoff."""
 
     def test_pairs_within_matches_per_item_queries(self):
         index = SpatialHashIndex(cell_size=60.0)
         rng = random.Random(3)
-        for i in range(120):
-            index.update(i, Point(rng.uniform(0, 800), rng.uniform(0, 800)))
+        points = {i: Point(rng.uniform(0, 800), rng.uniform(0, 800)) for i in range(120)}
+        index.update_many(points.items())
         radius = 75.0
         swept = {(min(a, b), max(a, b)) for a, b, _ in index.pairs_within(radius)}
-        expected = set()
-        for item, position in list(index.items()):
-            for other in index.within(position, radius, exclude=item):
-                expected.add((min(item, other), max(item, other)))
+        expected = {
+            (a, b)
+            for a in points
+            for b in points
+            if a < b and points[a].distance_to(points[b]) <= radius
+        }
         assert swept == expected
 
     def test_pairs_within_per_item_reach(self):
         index = SpatialHashIndex(cell_size=60.0)
-        index.update("near", Point(0, 0))
-        index.update("far", Point(40, 0))
-        index.update("close", Point(5, 0))
+        index.update_many(
+            [("near", Point(0, 0)), ("far", Point(40, 0)), ("close", Point(5, 0))]
+        )
         reach = {"near": 10.0, "far": 100.0, "close": 10.0}
         pairs = {(min(a, b), max(a, b)) for a, b, _ in index.pairs_within(100.0, reach_of=reach)}
         # near-far capped by near's 10 m reach; near-close within both.
@@ -436,4 +406,5 @@ class TestEngineEquivalence:
         reference = run(False)
         # The sweep visits each candidate pair once; the per-device path
         # visits every pair from both ends.
+        assert batched.distance_checks == 3793
         assert batched.distance_checks < reference.distance_checks

@@ -9,7 +9,7 @@ import pytest
 
 from repro.alleyoop.cloud import CloudService
 from repro.bench.suites import scenario_config
-from repro.bench.traceid import trace_sha256
+from repro.bench.traceid import trace_lines, trace_sha256
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import generate_keypair
 from repro.experiments import DensitySweep, GainesvilleStudy, ScenarioConfig
@@ -22,13 +22,6 @@ from repro.pki.provisioning import (
 )
 
 BITS = 512  # fast keygen; fine for pool tests (no OAEP involved)
-
-
-def _trace_lines(sim):
-    return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
-    ]
 
 
 class TestKeypairPool:
@@ -221,7 +214,7 @@ class TestStudyIntegration:
                 ScenarioConfig(provisioning=mode, key_cache_dir=str(tmp_path), **self.BASE)
             )
             result = study.run()
-            traces[mode] = _trace_lines(study.sim)
+            traces[mode] = trace_lines(study.sim)
             materialized[mode] = result.security_stats["keystores_materialized"]
         assert traces["eager"] == traces["pooled"] == traces["lazy"]
         assert any("|message|" in line for line in traces["eager"])
@@ -262,6 +255,19 @@ class TestStudyIntegration:
         second.build()
         assert second.keypair_pool.stats["generated"] == 0
         assert second.keypair_pool.stats["disk_hits"] == self.BASE["num_users"]
+
+    def test_key_cache_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        """``key_cache_dir`` is the one way to name a key cache, so the
+        config records whether a build could serve keys from disk: an
+        exported ``REPRO_KEY_CACHE`` is neither read nor written."""
+        cache = tmp_path / "env-cache"
+        cache.mkdir()
+        monkeypatch.setenv("REPRO_KEY_CACHE", str(cache))
+        study = GainesvilleStudy(ScenarioConfig(provisioning="pooled", **self.BASE))
+        study.build()
+        assert study.keypair_pool.cache_dir is None
+        assert study.keypair_pool.stats["generated"] == self.BASE["num_users"]
+        assert list(cache.iterdir()) == []
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
         base = ScenarioConfig(

@@ -5,34 +5,6 @@ from repro.sim.trace import TraceRecorder
 
 
 class TestTraceRecorder:
-    def test_emit_and_select_by_category(self):
-        trace = TraceRecorder()
-        trace.emit(1.0, "contact", "up", a="x", b="y")
-        trace.emit(2.0, "message", "created", author="x")
-        assert len(trace.select(category="contact")) == 1
-        assert trace.select(category="message")[0].data["author"] == "x"
-
-    def test_select_by_kind_and_window(self):
-        trace = TraceRecorder()
-        for t in [1.0, 2.0, 3.0, 4.0]:
-            trace.emit(t, "m", "k")
-        assert len(trace.select(kind="k", since=2.0, until=3.0)) == 2
-
-    def test_count(self):
-        trace = TraceRecorder()
-        trace.emit(1.0, "a", "x")
-        trace.emit(1.0, "a", "y")
-        trace.emit(1.0, "b", "x")
-        assert trace.count(category="a") == 2
-        assert trace.count(kind="x") == 2
-        assert trace.count() == 3
-
-    def test_disabled_recorder_drops_events(self):
-        trace = TraceRecorder()
-        trace.enabled = False
-        trace.emit(1.0, "a", "x")
-        assert len(trace) == 0
-
     def test_subscribers_receive_live_events(self):
         trace = TraceRecorder()
         seen = []
@@ -40,15 +12,9 @@ class TestTraceRecorder:
         trace.emit(1.0, "a", "x", v=1)
         assert seen[0].data == {"v": 1}
 
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.emit(1.0, "a", "x")
-        trace.clear()
-        assert len(trace) == 0
-
     def test_simulator_trace_integration(self):
         sim = Simulator()
         sim.schedule_at(3.0, lambda: sim.trace.emit(sim.now, "test", "tick"))
         sim.run()
-        events = sim.trace.select(category="test")
+        events = [e for e in sim.trace if e.category == "test"]
         assert events[0].time == 3.0

@@ -7,7 +7,6 @@ from repro.storage import (
     Action,
     ActionKind,
     ActionLog,
-    KeyValueStore,
     MessageStore,
     StoredMessage,
     SyncQueue,
@@ -58,51 +57,6 @@ class TestActionLog:
         assert log.get(1) == action
         assert log.get(2) is None
         assert log.get(0) is None
-
-
-class TestKeyValueStore:
-    def test_put_get_delete(self):
-        store = KeyValueStore()
-        store.put("a", 1)
-        assert store.get("a") == 1
-        store.delete("a")
-        assert store.get("a", "default") == "default"
-
-    def test_empty_key_rejected(self):
-        with pytest.raises(ValueError):
-            KeyValueStore().put("", 1)
-
-    def test_transaction_commits(self):
-        store = KeyValueStore()
-        with store.transaction() as txn:
-            txn.put("a", 1)
-            txn.put("b", 2)
-        assert store.get("a") == 1 and store.get("b") == 2
-
-    def test_transaction_rolls_back_on_error(self):
-        store = KeyValueStore()
-        store.put("a", "original")
-        with pytest.raises(RuntimeError):
-            with store.transaction() as txn:
-                txn.put("a", "changed")
-                raise RuntimeError("boom")
-        assert store.get("a") == "original"
-
-    def test_namespace_view(self):
-        store = KeyValueStore()
-        ns = store.namespace("routing")
-        ns.put("protocol", "interest")
-        assert store.get("routing:protocol") == "interest"
-        assert "protocol" in ns
-        ns.delete("protocol")
-        assert "protocol" not in ns
-
-    def test_keys_with_prefix(self):
-        store = KeyValueStore()
-        store.put("a:1", 1)
-        store.put("a:2", 2)
-        store.put("b:1", 3)
-        assert store.keys_with_prefix("a:") == ["a:1", "a:2"]
 
 
 class TestMessageStore:

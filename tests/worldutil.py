@@ -9,6 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.alleyoop import AlleyOopApp, CloudService
+from repro.bench import traceid
 from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.geo.point import Point
@@ -23,12 +24,14 @@ from repro.sim.engine import Simulator
 
 
 def trace_lines(sim: Simulator, exclude_category: Optional[str] = None) -> List[str]:
-    """Render a trace stream as comparable lines (the byte-identity
-    oracle used by the equivalence tests and benches)."""
+    """The canonical trace lines (:func:`repro.bench.traceid.trace_lines`,
+    the byte-identity oracle of the equivalence tests and benches),
+    optionally without the events of one category."""
+    lines = traceid.trace_lines(sim)
+    if exclude_category is None:
+        return lines
     return [
-        f"{event.time!r}|{event.category}|{event.kind}|{sorted(event.data.items())!r}"
-        for event in sim.trace
-        if event.category != exclude_category
+        line for line, event in zip(lines, sim.trace) if event.category != exclude_category
     ]
 
 
