@@ -1,8 +1,8 @@
 """Big-integer number theory for RSA key generation.
 
 Implements Miller–Rabin (with the proven small-base set below 3.3e24 and
-random bases above), extended-gcd modular inverse, and prime generation
-from a :class:`~repro.crypto.drbg.RandomSource`.
+random bases above), the modular inverse, and prime generation from a
+:class:`~repro.crypto.drbg.RandomSource`.
 
 The prime search follows FIPS 186-4 App. B.3.3:
 
@@ -122,25 +122,12 @@ def generate_prime(bits: int, rng: RandomSource) -> int:
     raise PrimeSearchError(f"no prime among {budget} {bits}-bit candidates")
 
 
-def egcd(a: int, b: int) -> tuple:
-    """Extended Euclid: returns ``(g, x, y)`` with ``a*x + b*y == g``."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def modinv(a: int, m: int) -> int:
-    """Modular inverse of ``a`` mod ``m``; raises if not coprime."""
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} has no inverse modulo {m} (gcd={g})")
-    return x % m
+    """Modular inverse of ``a`` mod ``m``; raises ``ValueError`` if not coprime."""
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} has no inverse modulo {m} (gcd={math.gcd(a, m)})") from None
 
 
 def int_to_bytes(n: int, length: int = None) -> bytes:

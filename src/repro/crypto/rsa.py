@@ -16,7 +16,7 @@ more for anything outside a simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.crypto.drbg import RandomSource, SystemRandomSource
@@ -90,8 +90,10 @@ class RsaPublicKey:
         malformed signatures; returns False."""
         if len(signature) != self.byte_size:
             return False
+        s = bytes_to_int(signature)
+        if s >= self.n:
+            return False  # RSAVP1 step 1: else s + n would verify too
         try:
-            s = bytes_to_int(signature)
             em = int_to_bytes(pow(s, self.e, self.n), self.byte_size)
         except (ValueError, OverflowError):
             return False
@@ -113,13 +115,26 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """An RSA private key with CRT acceleration parameters."""
+    """An RSA private key with CRT acceleration parameters.
+
+    ``dp``, ``dq`` and ``qinv`` are derived once, at construction, and
+    stored with the key as RFC 8017 §3.2 does; they take no part in
+    equality, hashing or the ``n/e/d/p/q`` serialisation.
+    """
 
     n: int
     e: int
     d: int
     p: int
     q: int
+    dp: int = field(init=False, repr=False, compare=False)
+    dq: int = field(init=False, repr=False, compare=False)
+    qinv: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dp", self.d % (self.p - 1))
+        object.__setattr__(self, "dq", self.d % (self.q - 1))
+        object.__setattr__(self, "qinv", modinv(self.q, self.p))
 
     @property
     def byte_size(self) -> int:
@@ -132,12 +147,9 @@ class RsaPrivateKey:
         if not 0 <= c < self.n:
             raise ValueError("ciphertext representative out of range")
         # CRT: two half-size exponentiations instead of one full-size one.
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        qinv = modinv(self.q, self.p)
-        m1 = pow(c, dp, self.p)
-        m2 = pow(c, dq, self.q)
-        h = (qinv * (m1 - m2)) % self.p
+        m1 = pow(c, self.dp, self.p)
+        m2 = pow(c, self.dq, self.q)
+        h = (self.qinv * (m1 - m2)) % self.p
         return m2 + self.q * h
 
     def sign(self, message: bytes) -> bytes:
@@ -252,7 +264,8 @@ def _mgf1(seed: bytes, length: int) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR of two equal-length buffers, as one big-integer operation."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def _oaep_encode(message: bytes, k: int, rng: RandomSource) -> bytes:

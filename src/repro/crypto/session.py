@@ -119,8 +119,10 @@ DEFAULT_REKEY_INTERVAL_S = 3600.0
 #: ...or after this many packets, whichever comes first.
 DEFAULT_REKEY_PACKETS = 4096
 
-#: Keystream read-ahead per refill (128 blocks = 8 KiB): amortises the
-#: block function's fixed cost across many packets of one direction.
+#: Keystream read-ahead per refill (128 blocks = 8 KiB).  It sets the
+#: chunk size of the numpy kernel, whose cost is nearly flat in block
+#: count, so the fixed cost is paid once per chunk; most keystreams need
+#: only one chunk for their whole life.
 _PREFETCH_BLOCKS = 128
 
 #: Accepted-key fingerprints remembered for anti-replay (oldest evicted
@@ -153,7 +155,7 @@ def _signed_key_bytes(label: bytes, wrapped: bytes) -> bytes:
 class _DirectionState:
     """One half of a channel: a key, its cipher stream, and bookkeeping."""
 
-    __slots__ = ("cipher", "mac_key", "position", "established_at", "packets", "header")
+    __slots__ = ("cipher", "mac_key", "established_at", "packets", "header")
 
     def __init__(self, master: bytes, label: bytes, established_at: float) -> None:
         enc_key = hkdf(master, info=b"sos-session-enc|" + label)
@@ -161,7 +163,6 @@ class _DirectionState:
         self.cipher = ChaCha20(enc_key, nonce)
         self.cipher.prefetch_blocks = _PREFETCH_BLOCKS
         self.mac_key = hkdf(master, info=b"sos-session-mac|" + label)
-        self.position = 0  # keystream bytes consumed under this key
         self.established_at = established_at
         self.packets = 0
         self.header: Optional[bytes] = None  # pending K-frame header (send side)
@@ -264,7 +265,6 @@ class SecureChannel:
             send = self._establish_send(now)
         seq = send.packets
         ciphertext = send.cipher.crypt(plaintext)
-        send.position += len(ciphertext)
         send.packets += 1
         if send.header is not None:
             head = KEY_FRAME + send.header
@@ -364,7 +364,6 @@ class SecureChannel:
                 f"expected {recv.packets})"
             )
         plaintext = recv.cipher.crypt(ciphertext)
-        recv.position += len(ciphertext)
         recv.packets += 1
         if fingerprint is not None:
             # Fully authenticated key frame: commit the new receive key.

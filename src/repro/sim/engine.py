@@ -5,12 +5,15 @@ absolute simulation times and executed in ``(time, priority, sequence)``
 order.  Ties on time are broken first by an integer priority (lower runs
 earlier) and then by insertion order, which makes runs fully deterministic
 for a fixed seed and schedule.
+
+The heap holds ``(time, priority, seq, event)`` tuples, which ``heapq``
+compares in C; ``seq`` is unique, so the event itself is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceRecorder
@@ -24,31 +27,26 @@ class Event:
     """A scheduled callback.
 
     Events are created through :meth:`Simulator.schedule_at` /
-    :meth:`Simulator.schedule_in` and can be cancelled.  Cancellation is
+    :meth:`Simulator.schedule_in` and can be cancelled.  The simulator's
+    heap holds each one as the last item of a ``(time, priority, seq,
+    event)`` entry; the event defines no ordering itself.  Cancellation is
     lazy: the heap entry stays in place and is skipped when popped — the
     simulator compacts the heap when cancelled entries pile up, so
     timer-heavy scenarios (restartable timeouts cancelled on every
     contact) cannot grow the queue without bound over long runs.
     """
 
-    __slots__ = (
-        "time", "priority", "seq", "callback", "args", "cancelled", "name",
-        "owner", "_on_cancel",
-    )
+    __slots__ = ("time", "callback", "args", "cancelled", "name", "owner", "_on_cancel")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        seq: int,
         callback: Callable[..., Any],
         args: tuple,
         name: str = "",
         owner: Optional[Any] = None,
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -63,9 +61,6 @@ class Event:
         self.cancelled = True
         if self._on_cancel is not None:
             self._on_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -92,7 +87,7 @@ class Simulator:
 
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -109,7 +104,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def schedule_at(
         self,
@@ -130,17 +125,19 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time:.6f}, now is {self._now:.6f}"
             )
-        event = Event(float(time), priority, self._seq, callback, args, name, owner)
+        time = float(time)
+        event = Event(time, callback, args, name, owner)
         event._on_cancel = self._note_cancelled
+        heapq.heappush(self._heap, (time, priority, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         return event
 
     def cancel_owned(self, owner: Any) -> int:
         """Cancel every pending event tagged with ``owner`` (identity
         comparison).  Returns the number of events cancelled."""
         count = 0
-        for event in self._heap:
+        for entry in self._heap:
+            event = entry[3]
             if not event.cancelled and event.owner is owner:
                 event.cancel()
                 count += 1
@@ -159,7 +156,7 @@ class Simulator:
 
         O(n) on the surviving events; ``(time, priority, seq)`` keys are
         unique, so re-heapifying cannot reorder execution."""
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
@@ -208,15 +205,15 @@ class Simulator:
             while self._heap and not self._stopped:
                 if max_events is not None and executed >= max_events:
                     break
-                event = self._heap[0]
+                time, _, _, event = self._heap[0]
                 if event.cancelled:
                     heapq.heappop(self._heap)
                     self._cancelled_in_heap -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
                 heapq.heappop(self._heap)
-                self._now = event.time
+                self._now = time
                 event.callback(*event.args)
                 executed += 1
                 for hook in self._step_hooks:

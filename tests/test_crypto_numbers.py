@@ -1,5 +1,7 @@
 """Tests for big-integer number theory."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,6 @@ from repro.crypto.drbg import HmacDrbg, RandomSource
 from repro.crypto.numbers import (
     PrimeSearchError,
     bytes_to_int,
-    egcd,
     generate_prime,
     int_to_bytes,
     is_probable_prime,
@@ -190,21 +191,13 @@ class TestGeneratePrime:
 
 
 class TestModularArithmetic:
-    @given(st.integers(1, 10**9), st.integers(1, 10**9))
-    @settings(max_examples=200)
-    def test_egcd_invariant(self, a, b):
-        g, x, y = egcd(a, b)
-        assert a * x + b * y == g
-        assert a % g == 0 and b % g == 0
-
     @given(st.integers(2, 10**6))
     @settings(max_examples=200)
     def test_modinv_roundtrip(self, m):
         # pick an a coprime to m
         a = 1
         for candidate in range(2, m):
-            g, _, _ = egcd(candidate, m)
-            if g == 1:
+            if math.gcd(candidate, m) == 1:
                 a = candidate
                 break
         inv = modinv(a, m)

@@ -1,13 +1,16 @@
 """Tests for RSA keygen, signatures, OAEP and the hybrid envelope."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import rsa
 from repro.crypto.drbg import HmacDrbg, RandomSource
-from repro.crypto.numbers import int_to_bytes, is_probable_prime
+from repro.crypto.numbers import bytes_to_int, int_to_bytes, is_probable_prime
 from repro.crypto.rsa import (
     KeyGenerationError,
+    RsaPrivateKey,
     RsaPublicKey,
     generate_keypair,
     hybrid_decrypt,
@@ -191,6 +194,54 @@ class TestSignatures:
     @settings(max_examples=20, deadline=None)
     def test_arbitrary_messages(self, keypair, data):
         assert keypair.public.verify(data, keypair.private.sign(data))
+
+    def test_signature_plus_modulus_rejected(self):
+        """RSAVP1 rejects a representative >= n: ``s + n`` is congruent to
+        ``s`` and, for this key and message, still fits in ``byte_size``
+        bytes, so without the range check it verified as well."""
+        keys = generate_keypair(1024, rng=HmacDrbg.from_int(1))
+        public = keys.public
+        signature = keys.private.sign(b"hello")
+        forged = bytes_to_int(signature) + public.n
+        assert forged.bit_length() <= 8 * public.byte_size  # the forgery fits
+        assert public.verify(b"hello", signature)
+        assert not public.verify(b"hello", int_to_bytes(forged, public.byte_size))
+
+
+class TestPrivateKeyCrt:
+    """The CRT values are derived once per key and are not key state."""
+
+    def test_crt_values_match_their_definitions(self, keypair):
+        key = keypair.private
+        assert key.dp == key.d % (key.p - 1)
+        assert key.dq == key.d % (key.q - 1)
+        assert (key.qinv * key.q) % key.p == 1
+
+    def test_private_operations_do_not_invert(self, keypair, monkeypatch):
+        """Once a key is built, signing and decrypting compute no inverse."""
+        key = RsaPrivateKey(*(getattr(keypair.private, f) for f in "nedpq"))
+        ciphertext = keypair.public.encrypt(b"session key", rng=HmacDrbg.from_int(3))
+
+        def no_inverse(*args):
+            raise AssertionError("modinv called inside a private-key operation")
+
+        monkeypatch.setattr(rsa, "modinv", no_inverse)
+        assert keypair.public.verify(b"message", key.sign(b"message"))
+        assert key.decrypt(ciphertext) == b"session key"
+
+    def test_equality_and_hash_follow_the_five_integers(self, keypair):
+        key = keypair.private
+        twin = RsaPrivateKey(n=key.n, e=key.e, d=key.d, p=key.p, q=key.q)
+        assert twin == key
+        assert hash(twin) == hash(key)
+        assert "qinv" not in repr(key)
+
+    def test_pickle_round_trip(self, keypair):
+        key = keypair.private
+        restored = pickle.loads(pickle.dumps(key))
+        assert restored == key
+        assert (restored.dp, restored.dq, restored.qinv) == (key.dp, key.dq, key.qinv)
+        assert restored.sign(b"message") == key.sign(b"message")
 
 
 class TestOaep:

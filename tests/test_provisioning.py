@@ -52,6 +52,11 @@ class TestKeypairPool:
         assert cold.stats["disk_hits"] == 1
         assert cold.stats["generated"] == 0
         assert loaded.private == original.private
+        # The CRT values are rebuilt on load, not read from the key file.
+        crt = ("dp", "dq", "qinv")
+        assert [getattr(loaded.private, f) for f in crt] == [
+            getattr(original.private, f) for f in crt
+        ]
 
     def test_corrupt_cache_file_regenerates(self, tmp_path):
         warm = KeypairPool(str(tmp_path))

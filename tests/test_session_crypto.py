@@ -222,7 +222,10 @@ class TestRekeyBoundaries:
         alice, bob = channel_pair(rekey_packets=2)
         for i in range(5):
             assert bob.decrypt(alice.encrypt(b"x" * 100, now=0.0), now=0.0) == b"x" * 100
-        assert alice._send.position == 100  # fresh key, fresh stream
+        send = alice._send
+        assert send.packets == 1  # fresh key...
+        # ...fresh stream: its cipher has handed out this frame's 100 bytes only.
+        assert send.cipher._counter * 64 - len(send.cipher._leftover) == 100
 
 
 class TestAdhocIntegration:

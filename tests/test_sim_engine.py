@@ -82,6 +82,60 @@ class TestCancellation:
         assert sim.pending_events == 1
 
 
+class TestOrderThroughCompaction:
+    """Equal ``(time, priority)`` keys run first-in first-out, however
+    cancellations and heap compactions interleave with the scheduling."""
+
+    def _world(self):
+        sim = Simulator()
+        sim.COMPACT_MIN_CANCELLED = 8  # compact every few cancellations
+        compactions = []
+        compact = sim._compact
+
+        def counted_compact():
+            compactions.append(len(sim._heap))
+            compact()
+
+        sim._compact = counted_compact
+        fired = []
+        owner = object()
+        live = []  # [time, priority, insertion index, tagged, event] of survivors
+        for index in range(240):
+            time = (5.0, 7.0)[index % 2]
+            priority = 0 if index % 4 < 2 else index % 3  # equal keys, mixed
+            tagged = index % 5 < 3
+            event = sim.schedule_at(
+                time, fired.append, index, priority=priority,
+                owner=owner if tagged else None,
+            )
+            live.append([time, priority, index, tagged, event])
+            if index % 3:  # cancel an earlier event, interleaved
+                victim = live.pop(len(live) // 2)
+                victim[4].cancel()
+        return sim, fired, owner, live, compactions
+
+    def test_fifo_within_priority(self):
+        sim, fired, _, live, compactions = self._world()
+        assert len(compactions) >= 2
+        assert sim.pending_events == len(live)
+        sim.run()
+        assert fired == [index for _, _, index, _, _ in sorted(live)]
+
+    def test_cancel_owned_and_pending_events_count(self):
+        sim, fired, owner, live, compactions = self._world()
+        tagged = [entry for entry in live if entry[3]]
+        assert tagged
+        before = len(compactions)
+        assert sim.cancel_owned(owner) == len(tagged)
+        assert len(compactions) > before  # cancel_owned itself compacted
+        assert sim.cancel_owned(owner) == 0
+        survivors = [entry for entry in live if not entry[3]]
+        assert sim.pending_events == len(survivors)
+        assert sim.run() == len(survivors)
+        assert fired == [index for _, _, index, _, _ in sorted(survivors)]
+        assert sim.pending_events == 0
+
+
 class TestRunBounds:
     def test_until_stops_before_later_events(self):
         sim = Simulator()
