@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_stats = sub.add_parser(
         "graph-stats",
         help="node/edge counts and degree histogram of a generated follow "
-        "graph (sweep sanity check; also scripts/graph_stats.py)",
+        "graph (sweep sanity check)",
     )
     graph_stats.add_argument("--seed", type=int, default=2017, help="master seed")
     graph_stats.add_argument("--users", type=int, default=10, help="population size")

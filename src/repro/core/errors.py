@@ -15,9 +15,5 @@ class SecurityError(SosError):
     """
 
 
-class ProtocolError(SosError):
-    """Malformed wire traffic from a peer."""
-
-
 class NotSignedUpError(SosError):
     """An operation needing credentials ran before the one-time sign-up."""

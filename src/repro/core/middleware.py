@@ -181,13 +181,7 @@ class SOSMiddleware:
         """Nearby users that completed the certificate handshake."""
         return self.adhoc.secured_users()
 
-    # -- security preferences -----------------------------------------------------------------
-    def set_require_encryption(self, required: bool) -> None:
-        """Security/privacy preference toggle (§III-A).  The field study
-        ran with encryption required; disabling exists for the security
-        ablation bench."""
-        self.config.require_encryption = required
-
+    # -- security -----------------------------------------------------------------------------
     @property
     def security_stats(self) -> Dict[str, int]:
         return self.adhoc.stats_snapshot()

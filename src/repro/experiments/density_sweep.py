@@ -31,10 +31,9 @@ class DensityPoint:
     median_delay_h: Optional[float]
     disseminations: int
     contacts: int
-    #: Medium instrumentation: ticks run and candidate distance checks
-    #: performed in the spatial index — the contact-detection work the
-    #: pair sweep compresses.
-    medium_ticks: int = 0
+    #: Medium instrumentation: candidate distance checks performed in
+    #: the spatial index — the contact-detection work the pair sweep
+    #: compresses.
     distance_checks: int = 0
 
     @classmethod
@@ -49,7 +48,6 @@ class DensityPoint:
             median_delay_h=(cdf.median() / 3600.0) if cdf.n else None,
             disseminations=result.disseminations,
             contacts=result.contact_count,
-            medium_ticks=medium.tick_count if medium is not None else 0,
             distance_checks=medium.distance_checks if medium is not None else 0,
         )
 
@@ -82,24 +80,23 @@ class DensitySweep:
         self,
         base_config: Optional[ScenarioConfig] = None,
         populations: Sequence[int] = (10, 16, 24),
-        scale_meetups_with_population: bool = True,
         workers: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         self.base_config = base_config or ScenarioConfig(duration_days=3, total_posts=110)
         self.populations = tuple(populations)
-        self.scale_meetups_with_population = scale_meetups_with_population
         self.workers = workers
         self.points: List[DensityPoint] = []
 
     def _config_for(self, num_users: int) -> ScenarioConfig:
-        config = replace(self.base_config, num_users=num_users)
-        if self.scale_meetups_with_population:
-            # Meetup opportunities scale with people, not with the map.
-            factor = num_users / self.base_config.num_users
-            config = replace(config, meetups_per_day=self.base_config.meetups_per_day * factor)
-        return config
+        # Meetup opportunities scale with people, not with the map.
+        factor = num_users / self.base_config.num_users
+        return replace(
+            self.base_config,
+            num_users=num_users,
+            meetups_per_day=self.base_config.meetups_per_day * factor,
+        )
 
     def run(self) -> List[DensityPoint]:
         configs = [self._config_for(num_users) for num_users in self.populations]

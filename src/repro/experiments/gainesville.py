@@ -10,7 +10,6 @@ then runs it and extracts every statistic Fig. 4 and §VI report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -239,7 +238,7 @@ class GainesvilleStudy:
         self._schedule_duty_cycle()
         self._schedule_posts()
         self._attach_overlay(region)
-        if not cfg.cloud_online_after_signup and not fault_plan.has_cloud_outages:
+        if not fault_plan.has_cloud_outages:
             # The one-time infrastructure requirement: after sign-up the
             # cloud goes dark and everything below is D2D only.  When the
             # plan configures connectivity windows, the ConnectivityModel

@@ -55,11 +55,11 @@ class ScenarioConfig:
     weekday_social_prob: float = 0.40
     weekend_outing_prob: float = 0.55
     #: Campus visits start uniformly in this hour-of-day window (staggered
-    #: class times); None restores wake+prep departures.
-    campus_arrival_hours: Optional[Tuple[float, float]] = (8.5, 14.0)
+    #: class times).
+    campus_arrival_hours: Tuple[float, float] = (8.5, 14.0)
     #: Campus stay duration in hours (students attend classes, not
-    #: nine-to-five shifts); None restores the fixed leave hour.
-    campus_stay_hours: Optional[Tuple[float, float]] = (2.0, 5.0)
+    #: nine-to-five shifts).
+    campus_stay_hours: Tuple[float, float] = (2.0, 5.0)
 
     # -- coordinated friend meetups ----------------------------------------------------
     #: Mean number of arranged friend meetups per day across the whole
@@ -136,10 +136,6 @@ class ScenarioConfig:
     #: flag exists for benchmarking and equivalence checks (see
     #: repro.crypto.session and benchmarks/test_bench_crypto.py).
     session_crypto: bool = True
-
-    #: Cloud availability after sign-up.  The reproduction keeps it off to
-    #: prove the "one-time infrastructure" property; deliveries are D2D.
-    cloud_online_after_signup: bool = False
 
     # -- fault injection ----------------------------------------------------------------
     #: Fault plan spec (see repro.faults.plan.FaultPlan.parse): ``"none"``

@@ -22,6 +22,7 @@ Plans come from three places:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Tuple
 
@@ -80,6 +81,14 @@ class FaultPlan:
     retry_jitter: float = 0.25
 
     def __post_init__(self) -> None:
+        # NaN passes the ``< 0`` checks below (every comparison with it is
+        # False) and silently switches its process off; an infinite rate
+        # fails mid-run.  Reject both here.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            parts = value if f.name == "reboot_delay_s" else (value,)
+            if not all(math.isfinite(part) for part in parts):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("cloud_timeout_prob", "cloud_partial_prob",
                      "frame_drop_prob", "frame_corrupt_prob"):
             value = getattr(self, name)

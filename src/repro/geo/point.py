@@ -28,9 +28,6 @@ class Point:
     def offset(self, dx: float, dy: float) -> "Point":
         return Point(self.x + dx, self.y + dy)
 
-    def as_tuple(self) -> tuple:
-        return (self.x, self.y)
-
     def __str__(self) -> str:
         return f"({self.x:.1f}m, {self.y:.1f}m)"
 

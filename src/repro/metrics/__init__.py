@@ -19,7 +19,6 @@ from repro.metrics.collector import DeliveryRecord, MessageRecord, TraceCollecto
 from repro.metrics.delay import DelayAnalysis
 from repro.metrics.delivery import DeliveryAnalysis, SubscriptionRatio
 from repro.metrics.spatial import MapOverlay, SpatialEvent
-from repro.metrics.contacts import ContactAnalysis
 
 __all__ = [
     "EmpiricalCdf",
@@ -31,5 +30,4 @@ __all__ = [
     "SubscriptionRatio",
     "MapOverlay",
     "SpatialEvent",
-    "ContactAnalysis",
 ]

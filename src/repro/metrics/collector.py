@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.trace import TraceRecorder
 
@@ -164,14 +164,3 @@ class TraceCollector:
         for records in by_author.values():
             records.sort(key=lambda r: r.number)
         return dict(by_author)
-
-    def subscriptions_active_during(
-        self, start: float, end: float
-    ) -> List[SubscriptionWindow]:
-        """Windows overlapping [start, end]."""
-        out = []
-        for window in self.subscription_windows:
-            window_end = window.end if window.end is not None else float("inf")
-            if window.start <= end and window_end >= start:
-                out.append(window)
-        return out

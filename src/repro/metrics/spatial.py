@@ -66,17 +66,6 @@ class MapOverlay:
             raise ValueError(f"no {kind!r} events recorded")
         return Point(sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts))
 
-    def bounding_box(self, kind: str) -> Region:
-        pts = self.points(kind)
-        if not pts:
-            raise ValueError(f"no {kind!r} events recorded")
-        return Region(
-            min(p.x for p in pts),
-            min(p.y for p in pts),
-            max(max(p.x for p in pts), min(p.x for p in pts) + 1e-9),
-            max(max(p.y for p in pts), min(p.y for p in pts) + 1e-9),
-        )
-
     def hot_cells(self, kind: str, top: int = 5) -> List[Tuple[Tuple[int, int], int]]:
         cells = self.occupied_cells(kind)
         return sorted(cells.items(), key=lambda kv: (-kv[1], kv[0]))[:top]

@@ -14,30 +14,23 @@ features §VI calls out explicitly:
 
 Models:
 
+* :class:`~repro.mobility.base.StationaryModel` — a node that never moves,
 * :class:`~repro.mobility.random_waypoint.RandomWaypoint` — the classic
-  baseline (used by the ablation benches),
-* :class:`~repro.mobility.levy.LevyWalk` — heavy-tailed step lengths,
+  baseline (used by the medium-scale bench and the examples),
 * :class:`~repro.mobility.working_day.WorkingDayMovement` — home / campus /
-  social-venue schedule with sleep, the model that reproduces Fig. 4,
-* :class:`~repro.mobility.trace_model.TraceReplayModel` — replays recorded
-  (time, x, y) waypoint traces, and the export side to write them.
+  social-venue schedule with sleep, the model that reproduces Fig. 4.
 """
 
 from repro.mobility.base import MobilityModel, StationaryModel
 from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.levy import LevyWalk
 from repro.mobility.working_day import DailySchedule, WorkingDayMovement
-from repro.mobility.trace_model import TraceReplayModel, WaypointTrace
 from repro.mobility.city import SyntheticCity
 
 __all__ = [
     "MobilityModel",
     "StationaryModel",
     "RandomWaypoint",
-    "LevyWalk",
     "DailySchedule",
     "WorkingDayMovement",
-    "TraceReplayModel",
-    "WaypointTrace",
     "SyntheticCity",
 ]

@@ -38,11 +38,6 @@ class MobilityModel(ABC):
         """
         return [model.position_at(now) for model in models]
 
-    def warm_up(self, now: float) -> None:
-        """Optional hook: advance internal state to ``now`` before the
-        measurement window opens."""
-        self.position_at(now)
-
 
 class StationaryModel(MobilityModel):
     """A node that never moves (infrastructure WiFi hotspots, kiosks)."""

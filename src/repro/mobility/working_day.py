@@ -6,8 +6,8 @@ campus, and sometimes met at social venues.  This model generates exactly
 that structure, one agenda per simulated day:
 
 * wake at home (~06:45 with per-day jitter),
-* weekdays: commute to the work/campus place, optional lunch outing,
-  leave work late afternoon,
+* weekdays: leave for the work/campus place in a staggered class-time
+  window, optional lunch outing, stay a class or two,
 * optional evening social-venue visit (probability differs weekday vs
   weekend),
 * return home and sleep until the next wake.
@@ -51,16 +51,12 @@ class DailySchedule:
     social_places: List[Place] = field(default_factory=list)
     wake_hour: float = 6.75
     wake_jitter: float = 0.75
-    commute_prep_hours: Tuple[float, float] = (0.5, 1.5)
-    work_leave_hour: float = 17.0
-    work_leave_jitter: float = 1.5
-    #: When set, campus visits start uniformly in this hour-of-day window
-    #: (staggered class times) instead of right after wake + prep.
-    depart_window_hours: Optional[Tuple[float, float]] = None
-    #: When set, the campus stay lasts uniform(lo, hi) hours instead of
-    #: ending at ``work_leave_hour`` (students attend a class or two, not
-    #: a nine-to-five shift).
-    work_stay_hours: Optional[Tuple[float, float]] = None
+    #: Campus visits start uniformly in this hour-of-day window (staggered
+    #: class times), but never before wake.
+    depart_window_hours: Tuple[float, float] = (8.5, 14.0)
+    #: The campus stay lasts uniform(lo, hi) hours (students attend a
+    #: class or two, not a nine-to-five shift).
+    work_stay_hours: Tuple[float, float] = (2.0, 5.0)
     lunch_probability: float = 0.45
     weekday_attendance: float = 0.85  # probability a weekday includes campus
     weekday_social_prob: float = 0.40
@@ -176,17 +172,9 @@ class WorkingDayMovement(MobilityModel):
         departures: List[Tuple[float, Place]] = []
 
         if self._is_weekday(day) and rng.random() < s.weekday_attendance:
-            if s.depart_window_hours is not None:
-                leave_home = max(wake, t0 + rng.uniform(*s.depart_window_hours) * _HOUR)
-            else:
-                leave_home = wake + rng.uniform(*s.commute_prep_hours) * _HOUR
+            leave_home = max(wake, t0 + rng.uniform(*s.depart_window_hours) * _HOUR)
             departures.append((leave_home, s.work))
-            if s.work_stay_hours is not None:
-                leave_work = leave_home + rng.uniform(*s.work_stay_hours) * _HOUR
-            else:
-                leave_work = t0 + (
-                    s.work_leave_hour + rng.uniform(-s.work_leave_jitter, s.work_leave_jitter)
-                ) * _HOUR
+            leave_work = leave_home + rng.uniform(*s.work_stay_hours) * _HOUR
             if s.social_places and rng.random() < s.lunch_probability:
                 lunch_out = t0 + rng.uniform(11.5, 13.0) * _HOUR
                 lunch_back = lunch_out + rng.uniform(0.5, 1.2) * _HOUR

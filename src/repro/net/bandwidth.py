@@ -22,12 +22,3 @@ def transfer_duration(size_bytes: int, radio: RadioProfile) -> float:
         raise ValueError(f"negative transfer size {size_bytes}")
     total_bits = (size_bytes + PER_TRANSFER_OVERHEAD_BYTES) * 8
     return PER_TRANSFER_LATENCY_S + total_bits / radio.throughput_bps
-
-
-def transfers_possible(contact_seconds: float, size_bytes: int, radio: RadioProfile) -> int:
-    """How many transfers of ``size_bytes`` fit in a contact of the given
-    length (0 when even one does not fit)."""
-    if contact_seconds <= 0:
-        return 0
-    per = transfer_duration(size_bytes, radio)
-    return int(contact_seconds // per)

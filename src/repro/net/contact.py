@@ -1,14 +1,12 @@
 """Contact bookkeeping.
 
 A *contact* is a maximal interval during which two devices can exchange
-data over some radio.  The tracker aggregates contacts into the statistics
-DTN papers report: contact count, total/mean contact duration, and
-inter-contact times per pair.
+data over some radio.  The tracker keeps the active and completed
+contacts; the study reports their count.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -46,7 +44,7 @@ class Contact:
 
 
 class ContactTracker:
-    """Collects contact intervals and derives summary statistics."""
+    """Collects contact intervals."""
 
     def __init__(self) -> None:
         self._active: Dict[Tuple[str, str], Contact] = {}
@@ -84,31 +82,3 @@ class ContactTracker:
     # -- statistics --------------------------------------------------------------
     def total_contacts(self) -> int:
         return len(self.completed) + len(self._active)
-
-    def contact_durations(self) -> List[float]:
-        return [c.duration for c in self.completed]
-
-    def mean_contact_duration(self) -> float:
-        durations = self.contact_durations()
-        return sum(durations) / len(durations) if durations else 0.0
-
-    def contacts_per_pair(self) -> Dict[Tuple[str, str], int]:
-        counts: Dict[Tuple[str, str], int] = defaultdict(int)
-        for c in self.completed:
-            counts[c.key] += 1
-        for key in self._active:
-            counts[key] += 1
-        return dict(counts)
-
-    def inter_contact_times(self) -> List[float]:
-        """Gaps between successive contacts of the same pair."""
-        by_pair: Dict[Tuple[str, str], List[Contact]] = defaultdict(list)
-        for c in self.completed:
-            by_pair[c.key].append(c)
-        gaps: List[float] = []
-        for contacts in by_pair.values():
-            contacts.sort(key=lambda c: c.start)
-            for prev, nxt in zip(contacts, contacts[1:]):
-                if prev.end is not None:
-                    gaps.append(nxt.start - prev.end)
-        return gaps

@@ -55,10 +55,6 @@ class CertificateAuthority:
         )
         self.root_certificate = root.with_signature(self._keypair.private.sign(root.tbs_bytes()))
 
-    @property
-    def issued_count(self) -> int:
-        return len(self._issued)
-
     def reserve_serial(self) -> int:
         """Reserve the next serial number for a certificate issued later.
 

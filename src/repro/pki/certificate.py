@@ -12,7 +12,7 @@ deterministic, length-prefixed binary encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.crypto.hashes import sha256
 from repro.crypto.rsa import RsaPublicKey
@@ -180,10 +180,6 @@ class Certificate:
     def fingerprint(self) -> str:
         """Hex SHA-256 over the full encoding; stable identity for caches."""
         return sha256(self.encode()).hex()
-
-    def is_valid_at(self, time: float) -> bool:
-        """Pure validity-window check (no signature verification)."""
-        return self.not_before <= time <= self.not_after
 
     def verify_signature(self, issuer_key: RsaPublicKey) -> bool:
         """Check the issuer's signature over the TBS encoding."""

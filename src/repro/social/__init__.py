@@ -13,7 +13,6 @@ from repro.social.metrics import (
     average_shortest_path_length,
     center,
     density_directed,
-    density_undirected,
     diameter,
     eccentricities,
     radius,
@@ -41,7 +40,6 @@ __all__ = [
     "average_shortest_path_length",
     "center",
     "density_directed",
-    "density_undirected",
     "diameter",
     "eccentricities",
     "radius",

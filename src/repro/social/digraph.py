@@ -102,9 +102,6 @@ class SocialDigraph:
                 adj[followee].add(follower)
         return adj
 
-    def undirected_edge_count(self) -> int:
-        return sum(len(n) for n in self.undirected_adjacency().values()) // 2
-
     # -- traversal ---------------------------------------------------------------------
     @staticmethod
     def bfs_distances(adj: Dict[Node, Set[Node]], source: Node) -> Dict[Node, int]:

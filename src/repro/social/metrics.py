@@ -45,14 +45,6 @@ def density_directed(graph: SocialDigraph) -> float:
     return graph.edge_count / (n * (n - 1))
 
 
-def density_undirected(graph: SocialDigraph) -> float:
-    """Density of the undirected projection: e / (n(n-1)/2)."""
-    n = graph.node_count
-    if n < 2:
-        return 0.0
-    return graph.undirected_edge_count() / (n * (n - 1) / 2.0)
-
-
 def _indexed_adjacency(graph: SocialDigraph) -> Tuple[List[Node], List[List[int]]]:
     """The nodes in insertion order and, per node, the indices of its
     neighbours in the undirected projection."""

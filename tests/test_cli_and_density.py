@@ -100,15 +100,6 @@ class TestDensitySweep:
         points = sweep.run()
         assert points[1].contacts >= points[0].contacts
 
-    def test_meetup_scaling_can_be_disabled(self):
-        sweep = DensitySweep(
-            base_config=ScenarioConfig(seed=7, duration_days=1, total_posts=5),
-            populations=(6,),
-            scale_meetups_with_population=False,
-        )
-        config = sweep._config_for(6)
-        assert config.meetups_per_day == sweep.base_config.meetups_per_day
-
     def test_social_graph_and_bootstrap_overrides(self, tmp_path):
         """Scenario axes such as the generator family and the key
         provisioning ride base_config: a sweep point changes only the

@@ -1,49 +1,13 @@
-"""Tests for contact analysis, energy metering and multi-seed replication."""
+"""Tests for energy metering and multi-seed replication."""
 
 import pytest
 
 from repro.experiments import ReplicationStudy, ScenarioConfig
 from repro.geo.point import Point
-from repro.metrics.contacts import ContactAnalysis
 from repro.mobility.base import StationaryModel
-from repro.net import Device, EnergyMeter, Medium, P2P_WIFI
-from repro.net.contact import ContactTracker
+from repro.net import Device, EnergyMeter, Medium
 from repro.net.energy import ENERGY_PER_BYTE_J, LINK_POWER_W, SCAN_POWER_W
 from repro.sim import Simulator
-
-
-class TestContactAnalysis:
-    def _tracker(self):
-        tracker = ContactTracker()
-        tracker.contact_up("a", "b", P2P_WIFI, 0.0)
-        tracker.contact_down("a", "b", 600.0)
-        tracker.contact_up("a", "b", P2P_WIFI, 3600.0)
-        tracker.contact_down("a", "b", 4200.0)
-        tracker.contact_up("a", "c", P2P_WIFI, 100.0)
-        tracker.contact_down("a", "c", 200.0)
-        return tracker
-
-    def test_summary_quantities(self):
-        analysis = ContactAnalysis.from_tracker(self._tracker())
-        assert analysis.total_contacts == 3
-        assert analysis.mean_contact_duration() == pytest.approx((600 + 600 + 100) / 3)
-        assert analysis.median_inter_contact_hours() == pytest.approx((3600 - 600) / 3600.0)
-        assert analysis.pairs_with_repeat_contacts() == 1
-
-    def test_degree_distribution(self):
-        analysis = ContactAnalysis.from_tracker(self._tracker())
-        assert analysis.degree_distribution() == {"a": 2, "b": 1, "c": 1}
-
-    def test_empty_tracker(self):
-        analysis = ContactAnalysis.from_tracker(ContactTracker())
-        assert analysis.total_contacts == 0
-        assert analysis.mean_contact_duration() is None
-        assert analysis.median_inter_contact_hours() is None
-
-    def test_summary_rows_render(self):
-        rows = ContactAnalysis.from_tracker(self._tracker()).summary_rows()
-        assert any("contacts" == label for label, _ in rows)
-        assert all(isinstance(value, str) for _, value in rows)
 
 
 class TestEnergyMeter:

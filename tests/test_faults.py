@@ -99,6 +99,15 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan.parse(spec)
 
+    def test_non_finite_values_rejected(self):
+        for key in ("crash_rate_per_day", "link_flap_rate_per_hour",
+                    "frame_drop_prob", "retry_base_s"):
+            for raw in ("nan", "inf"):
+                with pytest.raises(ValueError, match="finite"):
+                    FaultPlan.parse(f"{key}={raw}")
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan.parse("crash_rate_per_day=1,reboot_delay_s=0:inf")
+
     def test_activity_flags(self):
         assert FaultPlan.parse("cloud_timeout_prob=0.1").has_cloud_gate
         assert FaultPlan.parse("cloud_rate_limit=3").has_cloud_gate

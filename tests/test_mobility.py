@@ -4,20 +4,16 @@ import random
 
 import pytest
 
-from repro.geo.places import Place, PlaceKind
+from repro.geo.places import PlaceKind
 from repro.geo.point import Point
 from repro.geo.region import Region
 from repro.mobility import (
     DailySchedule,
-    LevyWalk,
     RandomWaypoint,
     StationaryModel,
     SyntheticCity,
-    TraceReplayModel,
-    WaypointTrace,
     WorkingDayMovement,
 )
-from repro.mobility.trace_model import record_trace
 
 REGION = Region(0, 0, 1000, 1000)
 DAY = 86_400.0
@@ -72,27 +68,6 @@ class TestRandomWaypoint:
         b = RandomWaypoint(REGION, random.Random(6))
         for t in (60.0, 120.0, 3600.0):
             assert a.position_at(t) == b.position_at(t)
-
-
-class TestLevyWalk:
-    def test_stays_in_region(self):
-        model = LevyWalk(REGION, random.Random(7))
-        for t in range(0, 7200, 60):
-            assert REGION.contains(model.position_at(float(t)))
-
-    def test_step_length_distribution_is_heavy_tailed(self):
-        model = LevyWalk(REGION, random.Random(8), alpha=1.2, min_step=10, max_step=5000)
-        lengths = [model._draw_step_length() for _ in range(5000)]
-        assert all(10 <= s <= 5000 for s in lengths)
-        short = sum(1 for s in lengths if s < 100)
-        long = sum(1 for s in lengths if s > 500)
-        assert short > long > 0  # many short hops, rare long flights
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            LevyWalk(REGION, random.Random(1), alpha=0.0)
-        with pytest.raises(ValueError):
-            LevyWalk(REGION, random.Random(1), min_step=100, max_step=10)
 
 
 def _make_schedule(rng=None, **overrides):
@@ -201,56 +176,3 @@ class TestSyntheticCity:
         assert city.campus.kind is PlaceKind.WORK
         assert all(h.kind is PlaceKind.HOME for h in city.homes)
         assert all(v.kind is PlaceKind.SOCIAL for v in city.social_venues)
-
-
-class TestTraces:
-    def test_record_and_replay(self):
-        model = RandomWaypoint(REGION, random.Random(24))
-        trace = record_trace(model, "n1", duration=3600, interval=60)
-        replay = TraceReplayModel(trace)
-        fresh = RandomWaypoint(REGION, random.Random(24))
-        for t in range(0, 3600, 60):
-            assert replay.position_at(float(t)) == fresh.position_at(float(t))
-
-    def test_interpolation_between_samples(self):
-        trace = WaypointTrace("n1")
-        trace.add(0.0, Point(0, 0))
-        trace.add(100.0, Point(100, 0))
-        replay = TraceReplayModel(trace)
-        assert replay.position_at(50.0) == Point(50, 0)
-
-    def test_clamping_outside_range(self):
-        trace = WaypointTrace("n1")
-        trace.add(10.0, Point(1, 1))
-        trace.add(20.0, Point(2, 2))
-        replay = TraceReplayModel(trace)
-        assert replay.position_at(0.0) == Point(1, 1)
-        assert replay.position_at(100.0) == Point(2, 2)
-
-    def test_file_roundtrip(self, tmp_path):
-        model = RandomWaypoint(REGION, random.Random(25))
-        trace = record_trace(model, "node-7", duration=600, interval=60)
-        path = tmp_path / "trace.txt"
-        with open(path, "w") as fh:
-            trace.write(fh)
-        with open(path) as fh:
-            loaded = WaypointTrace.read_all(fh)
-        assert set(loaded) == {"node-7"}
-        assert len(loaded["node-7"].samples) == len(trace.samples)
-
-    def test_non_monotonic_sample_rejected(self):
-        trace = WaypointTrace("n1")
-        trace.add(10.0, Point(0, 0))
-        with pytest.raises(ValueError):
-            trace.add(5.0, Point(1, 1))
-
-    def test_malformed_file_line_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("n1 1.0 2.0\n")
-        with pytest.raises(ValueError):
-            with open(path) as fh:
-                WaypointTrace.read_all(fh)
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(ValueError):
-            TraceReplayModel(WaypointTrace("empty"))

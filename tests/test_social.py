@@ -22,7 +22,6 @@ from repro.social import (
     center,
     degree_bounded_digraph,
     density_directed,
-    density_undirected,
     diameter,
     eccentricities,
     figure_4a_graph,
@@ -183,7 +182,6 @@ class TestDigraphBasics:
         adj = g.undirected_adjacency()
         assert adj["a"] == {"b"}
         assert adj["c"] == {"b"}
-        assert g.undirected_edge_count() == 2
 
     def test_copy_is_independent(self):
         g = SocialDigraph.from_edges([("a", "b")])
@@ -345,11 +343,6 @@ class TestMetricsEdgeCases:
         assert (diameter(g), radius(g)) == (3, 2)
         assert center(g) == sorted([ids(1), ids(2)], key=repr)
         assert transitivity_undirected(g) == 3 / 6
-
-    def test_density_undirected(self):
-        g = SocialDigraph.from_edges([("a", "b"), ("b", "a"), ("b", "c")])
-        # 2 undirected pairs of 3 possible
-        assert density_undirected(g) == pytest.approx(2 / 3)
 
 
 class TestMultiSourceBfsOracle:

@@ -1,120 +1,9 @@
-"""Tests for the trust manager, trust-gated routing and BubbleRap."""
+"""Tests for BubbleRap."""
 
 import json
 
-import pytest
-
-from repro.core.routing import BubbleRapRouting, EpidemicRouting
-from repro.core.trust import TrustGatedRouting, TrustManager
-from repro.storage.messagestore import StoredMessage
+from repro.core.routing import BubbleRapRouting
 from tests.test_routing_protocols import ALICE, BOB, CAROL, FakeServices, msg
-
-
-class TestTrustManager:
-    def test_never_met_scores_zero(self):
-        trust = TrustManager()
-        assert trust.score("stranger", now=100.0) == 0.0
-
-    def test_score_grows_with_encounters(self):
-        trust = TrustManager()
-        score = 0.0
-        for i in range(5):
-            start = i * 1000.0
-            trust.encounter_started(ALICE, start)
-            trust.encounter_ended(ALICE, start + 600.0)
-            new_score = trust.score(ALICE, start + 600.0)
-            assert new_score > score
-            score = new_score
-
-    def test_score_bounded_by_one(self):
-        trust = TrustManager()
-        for i in range(100):
-            trust.encounter_started(ALICE, i * 100.0)
-            trust.encounter_ended(ALICE, i * 100.0 + 99.0)
-        assert trust.score(ALICE, 10_000.0) <= 1.0
-
-    def test_recency_decay(self):
-        trust = TrustManager()
-        trust.encounter_started(ALICE, 0.0)
-        trust.encounter_ended(ALICE, 3600.0)
-        fresh = trust.score(ALICE, 3600.0)
-        stale = trust.score(ALICE, 3600.0 + 30 * 86400.0)
-        assert stale < fresh
-
-    def test_open_encounter_counts_duration(self):
-        trust = TrustManager()
-        trust.encounter_started(ALICE, 0.0)
-        early = trust.score(ALICE, 60.0)
-        later = trust.score(ALICE, 7200.0)
-        assert later > early
-
-    def test_double_start_is_one_encounter(self):
-        trust = TrustManager()
-        trust.encounter_started(ALICE, 0.0)
-        trust.encounter_started(ALICE, 10.0)
-        trust.encounter_ended(ALICE, 100.0)
-        assert trust.record_of(ALICE).count == 1
-
-    def test_ranked(self):
-        trust = TrustManager()
-        for _ in range(5):
-            trust.encounter_started(ALICE, 0.0)
-            trust.encounter_ended(ALICE, 600.0)
-        trust.encounter_started(CAROL, 0.0)
-        trust.encounter_ended(CAROL, 60.0)
-        ranked = trust.ranked(now=600.0)
-        assert ranked[0][0] == ALICE
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            TrustManager(weights=(0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            TrustManager(count_scale=0.0)
-
-
-class TestTrustGatedRouting:
-    def _gated(self, min_trust=0.25):
-        router = TrustGatedRouting(EpidemicRouting(), min_trust=min_trust)
-        services = FakeServices(user_id=BOB)
-        router.attach(services)
-        return router, services
-
-    def test_low_trust_peer_refused_relayed_content(self):
-        router, services = self._gated()
-        services.store.add(msg(ALICE, 1, hops=1))  # relayed content
-        served = router.serve_request(CAROL, ALICE, [1])
-        assert served == []
-        assert router.refused == 1
-
-    def test_own_content_never_gated(self):
-        router, services = self._gated()
-        services.store.add(msg(BOB, 1))
-        assert router.serve_request(CAROL, BOB, [1])
-
-    def test_trusted_peer_served(self):
-        router, services = self._gated(min_trust=0.1)
-        services.store.add(msg(ALICE, 1, hops=1))
-        # Build trust through encounters.
-        for i in range(6):
-            services._now = i * 1000.0
-            router.on_peer_secured(CAROL)
-            services._now = i * 1000.0 + 900.0
-            router.on_peer_lost(CAROL)
-        services._now = 6000.0
-        assert router.serve_request(CAROL, ALICE, [1])
-
-    def test_delegation_to_inner(self):
-        router, services = self._gated()
-        router.on_peer_discovered(ALICE, {ALICE: 2})
-        assert services.connects == [ALICE]  # epidemic behaviour preserved
-
-    def test_name_composition(self):
-        router, _ = self._gated()
-        assert router.name == "trusted-epidemic"
-
-    def test_invalid_min_trust(self):
-        with pytest.raises(ValueError):
-            TrustGatedRouting(EpidemicRouting(), min_trust=1.5)
 
 
 class TestBubbleRap:
