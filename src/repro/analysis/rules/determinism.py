@@ -25,7 +25,7 @@ Four rules, all scoped to the ``sim`` domain:
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set
 
 from repro.analysis import astutil
 from repro.analysis.core import Finding, ModuleContext, Rule

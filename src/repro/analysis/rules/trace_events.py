@@ -21,7 +21,7 @@ This family pins that API to a declared catalogue
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterator, Sequence, Set, Tuple
 
 from repro.analysis.core import Finding, ModuleContext, Rule
 from repro.analysis.trace_registry import TRACE_EVENTS

@@ -97,6 +97,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="seed for the fault-injection DRBG (default: derived from "
         "--seed); same plan + same fault seed = identical traces",
     )
+    parser.set_defaults(parser=parser)
 
 
 def _config_from(args: argparse.Namespace) -> ScenarioConfig:
@@ -123,7 +124,12 @@ def _config_from(args: argparse.Namespace) -> ScenarioConfig:
         kwargs["faults"] = args.faults
     if args.fault_seed is not None:
         kwargs["fault_seed"] = args.fault_seed
-    return ScenarioConfig(**kwargs)
+    try:
+        return ScenarioConfig(**kwargs)
+    except ValueError as exc:
+        # A rejected value from the command line is a usage error, not a
+        # crash; failures once the study runs still raise.
+        args.parser.error(str(exc))
 
 
 def cmd_study(args: argparse.Namespace) -> int:
@@ -170,7 +176,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    populations = tuple(int(p) for p in args.populations.split(","))
+    try:
+        populations = tuple(int(p) for p in args.populations.split(","))
+    except ValueError as exc:
+        args.parser.error(f"--populations: {exc}")
     sweep = DensitySweep(
         base_config=config,
         populations=populations,

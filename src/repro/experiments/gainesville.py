@@ -58,6 +58,44 @@ PAPER_VALUES = {
     "subs_at_least_0.80_one_hop": 0.25,
 }
 
+# -- calibration the paper does not publish (see EXPERIMENTS.md) -----------------
+#: Social venues each user frequents: uniform(lo, hi), clipped to the
+#: city's venue count.
+VENUES_PER_USER = (2, 4)
+#: Gathering size range: the host invites this many friends (clipped
+#: to the host's friend count).  Gatherings covering most of a user's
+#: follower cluster are what make posted-at-gathering deliveries
+#: mostly 1-hop.
+MEETUP_GROUP_SIZE = (2, 4)
+#: Fraction of follow-graph edges that are also *physical* friendships
+#: (people who actually hang out).  Following someone does not mean
+#: meeting them — this gap is what produces the paper's partial
+#: delivery ratios (median ~0.7) alongside 1-hop-dominated deliveries:
+#: close pairs deliver directly and quickly, distant subscriptions
+#: depend on occasional relays.
+CLOSE_FRIEND_PROB = 0.6
+#: Hour-of-day window in which meetups start.
+MEETUP_HOURS = (10.5, 20.0)
+#: Weekend meetup rate relative to weekdays (the participants
+#: "typically interacted during the school week", §VI-A) — weekend
+#: posts waiting for Monday are a large part of the delay tail.
+WEEKEND_MEETUP_FACTOR = 0.54
+#: Meetup duration in hours.
+MEETUP_DURATION_HOURS = (0.75, 2.0)
+#: Fraction of posts created while the author is at one of its own
+#: meetups (people post about what they are doing, with friends
+#: around) — the mechanism behind the study's 1-hop-dominated
+#: deliveries.
+POST_AT_MEETUP_PROB = 0.44
+#: Duty cycle: each user opens the app for uniform(n - 1, n + 1)
+#: foreground sessions a day, each lasting uniform(lo, hi) minutes.
+FOREGROUND_SESSIONS_PER_DAY = 2
+FOREGROUND_MINUTES = (10.0, 30.0)
+#: Zipf-ish activity skew: weight of user k is 1 / (k + 1) ** skew.
+POSTING_SKEW = 0.7
+#: Posts happen during waking hours [start, end) local time.
+POSTING_HOURS = (8.0, 23.0)
+
 
 @dataclass
 class StudyResult:
@@ -152,11 +190,7 @@ class GainesvilleStudy:
         region = Region(0.0, 0.0, cfg.area[0], cfg.area[1])
         city_rng = self.sim.streams.get("city")
         self.city = SyntheticCity.gainesville_like(
-            region,
-            city_rng,
-            num_homes=cfg.num_users,
-            num_venues=cfg.num_social_venues,
-            campus_radius=cfg.campus_radius_m,
+            region, city_rng, num_homes=cfg.num_users
         )
         self.social_graph = self._make_social_graph()
         if self.social_graph_kind is None:
@@ -195,18 +229,13 @@ class GainesvilleStudy:
             )
             self.user_ids[node] = signup.user_id
             venue_rng = self.sim.streams.get(f"venues:{node}")
-            lo, hi = cfg.venues_per_user
+            lo, hi = VENUES_PER_USER
             count = min(len(self.city.social_venues), venue_rng.randint(lo, hi))
             venues = venue_rng.sample(self.city.social_venues, count) if count else []
             schedule = DailySchedule(
                 home=self.city.homes[index % len(self.city.homes)],
                 work=self.city.campus,
                 social_places=venues,
-                weekday_attendance=cfg.weekday_attendance,
-                weekday_social_prob=cfg.weekday_social_prob,
-                weekend_outing_prob=cfg.weekend_outing_prob,
-                depart_window_hours=cfg.campus_arrival_hours,
-                work_stay_hours=cfg.campus_stay_hours,
             )
             mobility = WorkingDayMovement(schedule, self.sim.streams.get(f"mobility:{node}"))
             device = Device(f"device-{node}", mobility)
@@ -323,7 +352,7 @@ class GainesvilleStudy:
         adjacency: Dict[object, set] = {n: set() for n in full_adjacency}
         for a in sorted(full_adjacency, key=repr):
             for b in sorted(full_adjacency[a], key=repr):
-                if repr(a) < repr(b) and rng.random() < cfg.close_friend_prob:
+                if repr(a) < repr(b) and rng.random() < CLOSE_FRIEND_PROB:
                     adjacency[a].add(b)
                     adjacency[b].add(a)
         self.close_friend_graph = adjacency
@@ -332,14 +361,14 @@ class GainesvilleStudy:
         )
         if not pairs:
             return
-        lo_h, hi_h = cfg.meetup_hours
-        lo_d, hi_d = cfg.meetup_duration_hours
-        lo_g, hi_g = cfg.meetup_group_size
+        lo_h, hi_h = MEETUP_HOURS
+        lo_d, hi_d = MEETUP_DURATION_HOURS
+        lo_g, hi_g = MEETUP_GROUP_SIZE
         nodes = sorted(self.devices, key=repr)
         for day in range(cfg.duration_days):
             rate = cfg.meetups_per_day
             if day % 7 >= 5:  # weekend (study started on a Monday)
-                rate *= cfg.weekend_meetup_factor
+                rate *= WEEKEND_MEETUP_FACTOR
             count = rng.randint(
                 max(0, int(rate * 0.5)), max(1, round(rate * 1.5))
             )
@@ -378,15 +407,15 @@ class GainesvilleStudy:
         if not cfg.duty_cycle:
             return
         rng = self.sim.streams.get("duty-cycle")
-        lo_m, hi_m = cfg.foreground_minutes
+        lo_m, hi_m = FOREGROUND_MINUTES
         for node, device in self.devices.items():
             device.power_off()
             windows = list(self._meetup_windows.get(node, []))
             # Random feed-checking sessions.
             for day in range(cfg.duration_days):
                 sessions = rng.randint(
-                    max(0, int(cfg.foreground_sessions_per_day) - 1),
-                    int(cfg.foreground_sessions_per_day) + 1,
+                    max(0, FOREGROUND_SESSIONS_PER_DAY - 1),
+                    FOREGROUND_SESSIONS_PER_DAY + 1,
                 )
                 for _ in range(sessions):
                     start = day * _DAY + rng.uniform(8.0, 23.0) * _HOUR
@@ -407,9 +436,9 @@ class GainesvilleStudy:
         cfg = self.config
         rng = self.sim.streams.get("posting")
         nodes = sorted(self.apps)
-        weights = [1.0 / (k + 1) ** cfg.posting_skew for k in range(len(nodes))]
+        weights = [1.0 / (k + 1) ** POSTING_SKEW for k in range(len(nodes))]
         total_weight = sum(weights)
-        lo_h, hi_h = cfg.posting_hours
+        lo_h, hi_h = POSTING_HOURS
         for post_index in range(cfg.total_posts):
             pick = rng.random() * total_weight
             acc = 0.0
@@ -421,7 +450,7 @@ class GainesvilleStudy:
                     break
             windows = self._meetup_windows.get(node, [])
             usable = [w for w in windows if w[1] > w[0]]
-            if usable and rng.random() < cfg.post_at_meetup_prob:
+            if usable and rng.random() < POST_AT_MEETUP_PROB:
                 # Post from a gathering: subscribers present get it 1-hop.
                 start, end = usable[rng.randrange(len(usable))]
                 at = rng.uniform(start, end)

@@ -1,10 +1,11 @@
 """Scenario configuration.
 
-One dataclass captures every knob of a deployment reconstruction, with
-defaults equal to the field study's published parameters.  Anything the
-paper does not publish (posting-time distribution, venue count, campus
-footprint) is an explicit, documented calibration parameter here rather
-than a buried constant.
+One dataclass captures every scenario axis a study, sweep, command or
+benchmark sets, with defaults equal to the field study's published
+parameters.  The one-value calibration the paper does not publish
+(posting-time distribution, venues, meetups, duty-cycle windows) lives
+where it is read: named constants in ``repro.experiments.gainesville``
+and the ``DailySchedule`` / ``SyntheticCity.gainesville_like`` defaults.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ class ScenarioConfig:
     total_posts: int = STUDY_POSTS
     routing_protocol: str = "interest"
 
-    # -- mobility calibration (not published; see EXPERIMENTS.md) -----------------
+    # -- contact detection (not published; see EXPERIMENTS.md) --------------------
     medium_tick_s: float = 30.0
-    campus_radius_m: float = 500.0
-    num_social_venues: int = 6
 
     # -- social graph ------------------------------------------------------------------
     #: Follow-graph generator family (see repro.social.generators):
@@ -50,16 +49,6 @@ class ScenarioConfig:
     #: per-user degree independent of N, opening large-N sweeps that the
     #: O(N²)-dense hub_and_cluster generator cannot reach.
     social_graph: str = "auto"
-    venues_per_user: Tuple[int, int] = (2, 4)
-    weekday_attendance: float = 0.5
-    weekday_social_prob: float = 0.40
-    weekend_outing_prob: float = 0.55
-    #: Campus visits start uniformly in this hour-of-day window (staggered
-    #: class times).
-    campus_arrival_hours: Tuple[float, float] = (8.5, 14.0)
-    #: Campus stay duration in hours (students attend classes, not
-    #: nine-to-five shifts).
-    campus_stay_hours: Tuple[float, float] = (2.0, 5.0)
 
     # -- coordinated friend meetups ----------------------------------------------------
     #: Mean number of arranged friend meetups per day across the whole
@@ -67,31 +56,6 @@ class ScenarioConfig:
     #: author->subscriber contacts dominate, matching the study's 82.6%
     #: 1-hop share).
     meetups_per_day: float = 2.6
-    #: Gathering size range: the host invites this many friends (clipped
-    #: to the host's friend count).  Gatherings covering most of a user's
-    #: follower cluster are what make posted-at-gathering deliveries
-    #: mostly 1-hop.
-    meetup_group_size: Tuple[int, int] = (2, 4)
-    #: Fraction of follow-graph edges that are also *physical* friendships
-    #: (people who actually hang out).  Following someone does not mean
-    #: meeting them — this gap is what produces the paper's partial
-    #: delivery ratios (median ~0.7) alongside 1-hop-dominated deliveries:
-    #: close pairs deliver directly and quickly, distant subscriptions
-    #: depend on occasional relays.
-    close_friend_prob: float = 0.6
-    #: Hour-of-day window in which meetups start.
-    meetup_hours: Tuple[float, float] = (10.5, 20.0)
-    #: Weekend meetup rate relative to weekdays (the participants
-    #: "typically interacted during the school week", §VI-A) — weekend
-    #: posts waiting for Monday are a large part of the delay tail.
-    weekend_meetup_factor: float = 0.54
-    #: Meetup duration in hours.
-    meetup_duration_hours: Tuple[float, float] = (0.75, 2.0)
-    #: Fraction of posts created while the author is at one of its own
-    #: meetups (people post about what they are doing, with friends
-    #: around) — the mechanism behind the study's 1-hop-dominated
-    #: deliveries.
-    post_at_meetup_prob: float = 0.44
 
     # -- app duty cycle ------------------------------------------------------------------
     #: iOS Multipeer Connectivity only runs while the app is foregrounded.
@@ -99,14 +63,6 @@ class ScenarioConfig:
     #: a few random foreground sessions per day, and off otherwise.  This
     #: is what keeps incidental relay transfers rare in vivo.
     duty_cycle: bool = True
-    foreground_sessions_per_day: float = 2.0
-    foreground_minutes: Tuple[float, float] = (10.0, 30.0)
-
-    # -- posting calibration ---------------------------------------------------------
-    #: Zipf-ish activity skew: weight of user k is 1 / (k + 1) ** skew.
-    posting_skew: float = 0.7
-    #: Posts happen during waking hours [start, end) local time.
-    posting_hours: Tuple[float, float] = (8.0, 23.0)
 
     # -- middleware --------------------------------------------------------------------
     #: Origin-preference grace (see SosConfig.relay_request_grace).
@@ -156,9 +112,6 @@ class ScenarioConfig:
             raise ValueError("need at least one day")
         if self.total_posts < 0:
             raise ValueError("total_posts must be non-negative")
-        lo, hi = self.posting_hours
-        if not 0 <= lo < hi <= 24:
-            raise ValueError(f"invalid posting hours {self.posting_hours!r}")
         if self.provisioning not in PROVISIONING_MODES:
             raise ValueError(
                 f"provisioning must be one of {PROVISIONING_MODES}, "

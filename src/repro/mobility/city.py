@@ -35,7 +35,7 @@ class SyntheticCity:
         rng: random.Random,
         num_homes: int = 10,
         num_venues: int = 6,
-        campus_radius: float = 400.0,
+        campus_radius: float = 500.0,
     ) -> "SyntheticCity":
         """Generate the study layout.
 

@@ -58,7 +58,7 @@ class DailySchedule:
     #: class or two, not a nine-to-five shift).
     work_stay_hours: Tuple[float, float] = (2.0, 5.0)
     lunch_probability: float = 0.45
-    weekday_attendance: float = 0.85  # probability a weekday includes campus
+    weekday_attendance: float = 0.5  # probability a weekday includes campus
     weekday_social_prob: float = 0.40
     weekend_outing_prob: float = 0.55
     social_visit_hours: Tuple[float, float] = (1.0, 3.0)

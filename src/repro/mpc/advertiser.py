@@ -8,7 +8,7 @@ session or cryptography exists.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.mpc.peer import PeerID
 from repro.mpc.session import Session

@@ -17,7 +17,7 @@ protocol comparison is what matters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.net.contact import pair_key

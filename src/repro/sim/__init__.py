@@ -25,7 +25,7 @@ Example
 """
 
 from repro.sim.engine import Event, Simulator, SimulationError
-from repro.sim.process import Process, Timer, PeriodicTimer
+from repro.sim.process import Timer, PeriodicTimer
 from repro.sim.randomness import RandomStreams
 from repro.sim.trace import TraceRecorder, TraceEvent
 
@@ -33,7 +33,6 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "Process",
     "Timer",
     "PeriodicTimer",
     "RandomStreams",

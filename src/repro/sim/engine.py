@@ -90,7 +90,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
-        self._stopped = False
         self._cancelled_in_heap = 0
         self.streams = RandomStreams(seed)
         self.trace = TraceRecorder()
@@ -184,13 +183,9 @@ class Simulator:
         """
         self._step_hooks.append(hook)
 
-    def stop(self) -> None:
-        """Stop the run loop after the current event finishes."""
-        self._stopped = True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue empties, ``until`` is reached, or
-        ``max_events`` have executed.  Returns the number of events run.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run events until the queue empties or the next one is due
+        after ``until``.  Returns the number of events run.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         on return even if the queue drained earlier, so measurement windows
@@ -199,12 +194,9 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self._stopped = False
         executed = 0
         try:
-            while self._heap and not self._stopped:
-                if max_events is not None and executed >= max_events:
-                    break
+            while self._heap:
                 time, _, _, event = self._heap[0]
                 if event.cancelled:
                     heapq.heappop(self._heap)
@@ -220,13 +212,9 @@ class Simulator:
                     hook(self._now)
         finally:
             self._running = False
-        if until is not None and self._now < until and not self._stopped:
+        if until is not None and self._now < until:
             self._now = float(until)
         return executed
-
-    def run_until_empty(self, max_events: int = 10_000_000) -> int:
-        """Drain the queue completely (bounded by ``max_events``)."""
-        return self.run(max_events=max_events)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator t={self._now:.3f} pending={self.pending_events}>"

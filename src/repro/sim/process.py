@@ -1,18 +1,16 @@
-"""Timer and process conveniences layered on the raw event heap.
+"""Timer conveniences layered on the raw event heap.
 
-Most model code wants one of three shapes:
+Model code wants one of two shapes:
 
 * a one-shot :class:`Timer` that can be restarted/cancelled (connection
   timeouts, advertisement refreshes),
-* a :class:`PeriodicTimer` that fires on a fixed or jittered period
-  (discovery beacons, mobility position updates),
-* a long-lived :class:`Process` driving a generator that yields delays
-  (user behaviour scripts: wake, commute, post, sleep).
+* a :class:`PeriodicTimer` that fires on a fixed period (the medium's
+  contact tick).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Event, Simulator
 
@@ -46,42 +44,29 @@ class Timer:
 
 
 class PeriodicTimer:
-    """Fires ``callback`` every ``period`` seconds, with optional jitter.
-
-    Jitter desynchronises large populations of devices — exactly what
-    happens with real beacon timers — and is drawn from the simulator's
-    ``"periodic:<name>"`` random stream so it is reproducible.
-    """
+    """Fires ``callback`` every ``period`` seconds."""
 
     def __init__(
         self,
         sim: Simulator,
         period: float,
         callback: Callable[[], Any],
-        jitter: float = 0.0,
         name: str = "periodic",
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period!r}")
         self._sim = sim
         self.period = float(period)
-        self.jitter = float(jitter)
         self._callback = callback
         self._name = name
         self._event: Optional[Event] = None
-        self._rng = sim.streams.get(f"periodic:{name}")
         self._running = False
 
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    def start(self, initial_delay: Optional[float] = None) -> None:
+    def start(self) -> None:
         if self._running:
             return
         self._running = True
-        delay = self._next_delay() if initial_delay is None else initial_delay
-        self._event = self._sim.schedule_in(delay, self._fire, name=self._name)
+        self._event = self._sim.schedule_in(self.period, self._fire, name=self._name)
 
     def stop(self) -> None:
         self._running = False
@@ -89,58 +74,9 @@ class PeriodicTimer:
             self._event.cancel()
             self._event = None
 
-    def _next_delay(self) -> float:
-        if self.jitter <= 0:
-            return self.period
-        return max(0.0, self.period + self._rng.uniform(-self.jitter, self.jitter))
-
     def _fire(self) -> None:
         if not self._running:
             return
         self._callback()
         if self._running:
-            self._event = self._sim.schedule_in(self._next_delay(), self._fire, name=self._name)
-
-
-class Process:
-    """Drives a generator that yields non-negative delays (seconds).
-
-    The generator is advanced once per yielded delay; returning (or raising
-    ``StopIteration``) ends the process.  This gives user-behaviour scripts
-    a linear, readable shape::
-
-        def day(self):
-            yield self.sleep_until_morning()
-            self.post("good morning")
-            yield 3600.0
-            ...
-    """
-
-    def __init__(self, sim: Simulator, generator: Generator[float, None, None], name: str = "process") -> None:
-        self._sim = sim
-        self._generator = generator
-        self._name = name
-        self._event: Optional[Event] = None
-        self.finished = False
-
-    def start(self, delay: float = 0.0) -> None:
-        self._event = self._sim.schedule_in(delay, self._step, name=self._name)
-
-    def cancel(self) -> None:
-        self.finished = True
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _step(self) -> None:
-        if self.finished:
-            return
-        try:
-            delay = next(self._generator)
-        except StopIteration:
-            self.finished = True
-            self._event = None
-            return
-        if delay is None or delay < 0:
-            raise ValueError(f"process {self._name!r} yielded invalid delay {delay!r}")
-        self._event = self._sim.schedule_in(float(delay), self._step, name=self._name)
+            self._event = self._sim.schedule_in(self.period, self._fire, name=self._name)

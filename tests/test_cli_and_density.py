@@ -76,6 +76,23 @@ class TestCli:
         with pytest.raises(KeyError):
             main(["study", "--days", "1", "--posts", "5", "--protocol", "warp"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["study", "--users", "1"], "need at least two users"),
+            (["study", "--faults", "frame_drop_prob=1.5"], "frame_drop_prob"),
+            (["density", "--workers", "0"], "at least 1"),
+            (["density", "--populations", "10,x"], "--populations"),
+        ],
+        ids=["users", "faults", "workers", "populations"],
+    )
+    def test_rejected_value_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error:" in err and message in err
+
 
 class TestDensitySweep:
     def test_sweep_runs_and_reports(self):

@@ -85,8 +85,6 @@ class TestGainesvilleStudy:
             ScenarioConfig(num_users=1)
         with pytest.raises(ValueError):
             ScenarioConfig(duration_days=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(posting_hours=(25, 3))
 
 
 class TestProtocolComparison:

@@ -8,7 +8,9 @@ snippet that must pass, per rule family, plus the framework mechanics
 
 from __future__ import annotations
 
+import ast
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -545,3 +547,33 @@ class TestTreeContract:
 
     def test_cli_missing_path_is_usage_error(self, tmp_path):
         assert run_lint(["no/such/dir"], root=tmp_path) == 2
+
+    def test_src_modules_use_every_name_they_import(self):
+        """An import nothing references is dead weight.  A name counts as
+        used when the module loads it or names it in a string (quoted
+        annotations); ``__init__.py`` files re-export and are skipped."""
+        unused = []
+        for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            imported = {}
+            used = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        name = alias.asname or alias.name.split(".")[0]
+                        imported.setdefault(name, node.lineno)
+                elif isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+            rel = path.relative_to(REPO_ROOT)
+            unused += [
+                f"{rel}:{line} {name}"
+                for name, line in imported.items()
+                if name not in used
+            ]
+        assert unused == []

@@ -183,7 +183,7 @@ class TestSimulatorHeapCompaction:
                 sim.schedule_in(0.01, churn, i + 1)
 
         sim.schedule_in(0.0, churn, 0)
-        sim.run_until_empty()
+        sim.run()
         # 5000 cancelled far-future timeouts would have sat in the seed's
         # heap; compaction keeps the peak bounded by the trigger level.
         assert peak[0] <= Simulator.COMPACT_MIN_CANCELLED * 2 + 8
@@ -199,7 +199,7 @@ class TestSimulatorHeapCompaction:
         doomed = [sim.schedule_at(50.0, fired.append, -1) for _ in range(64)]
         for event in doomed:
             event.cancel()
-        sim.run_until_empty()
+        sim.run()
         assert fired == list(range(20))
         assert all(not k.cancelled for k in keepers)
 

@@ -158,23 +158,6 @@ class TestRunBounds:
         sim.run(until=50.0)
         assert ran == [1]
 
-    def test_max_events_bound(self):
-        sim = Simulator()
-        ran = []
-        for i in range(10):
-            sim.schedule_at(float(i), lambda i=i: ran.append(i))
-        sim.run(max_events=3)
-        assert ran == [0, 1, 2]
-
-    def test_stop_halts_run(self):
-        sim = Simulator()
-        ran = []
-        sim.schedule_at(1.0, lambda: (ran.append(1), sim.stop()))
-        sim.schedule_at(2.0, lambda: ran.append(2))
-        sim.run()
-        assert ran == [(1, None)] or ran == [1]  # tuple from lambda, then stop
-        assert sim.pending_events == 1
-
     def test_run_is_not_reentrant(self):
         sim = Simulator()
         errors = []

@@ -1,8 +1,8 @@
-"""Tests for timers and generator processes."""
+"""Tests for the one-shot and periodic timers."""
 
 import pytest
 
-from repro.sim import PeriodicTimer, Process, Simulator, Timer
+from repro.sim import PeriodicTimer, Simulator, Timer
 
 
 class TestTimer:
@@ -60,24 +60,6 @@ class TestPeriodicTimer:
         sim.run(until=100.0)
         assert times == [10.0, 20.0]
 
-    def test_initial_delay_override(self):
-        sim = Simulator()
-        times = []
-        timer = PeriodicTimer(sim, 10.0, lambda: times.append(sim.now))
-        timer.start(initial_delay=1.0)
-        sim.run(until=12.0)
-        assert times == [1.0, 11.0]
-
-    def test_jitter_stays_within_bounds(self):
-        sim = Simulator(seed=5)
-        times = []
-        timer = PeriodicTimer(sim, 10.0, lambda: times.append(sim.now), jitter=2.0)
-        timer.start()
-        sim.run(until=200.0)
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(8.0 <= g <= 12.0 for g in gaps)
-        assert len(set(gaps)) > 1  # actually jittered
-
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
             PeriodicTimer(Simulator(), 0.0, lambda: None)
@@ -91,54 +73,3 @@ class TestPeriodicTimer:
         sim.run(until=15.0)
         assert times == [10.0]
 
-
-class TestProcess:
-    def test_generator_advances_by_yielded_delays(self):
-        sim = Simulator()
-        log = []
-
-        def script():
-            log.append(("start", sim.now))
-            yield 5.0
-            log.append(("mid", sim.now))
-            yield 10.0
-            log.append(("end", sim.now))
-
-        Process(sim, script()).start()
-        sim.run()
-        assert log == [("start", 0.0), ("mid", 5.0), ("end", 15.0)]
-
-    def test_finished_flag_set(self):
-        sim = Simulator()
-
-        def script():
-            yield 1.0
-
-        process = Process(sim, script())
-        process.start()
-        sim.run()
-        assert process.finished
-
-    def test_cancel_stops_process(self):
-        sim = Simulator()
-        log = []
-
-        def script():
-            yield 5.0
-            log.append("never")
-
-        process = Process(sim, script())
-        process.start()
-        sim.schedule_at(1.0, process.cancel)
-        sim.run()
-        assert log == []
-
-    def test_negative_yield_raises(self):
-        sim = Simulator()
-
-        def script():
-            yield -1.0
-
-        Process(sim, script()).start()
-        with pytest.raises(ValueError):
-            sim.run()
