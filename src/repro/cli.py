@@ -178,13 +178,15 @@ def cmd_density(args: argparse.Namespace) -> int:
     config = _config_from(args)
     try:
         populations = tuple(int(p) for p in args.populations.split(","))
+        # Builds every point's config, so a swept population the scenario
+        # rejects is reported here too.
+        sweep = DensitySweep(
+            base_config=config,
+            populations=populations,
+            workers=args.workers,
+        )
     except ValueError as exc:
         args.parser.error(f"--populations: {exc}")
-    sweep = DensitySweep(
-        base_config=config,
-        populations=populations,
-        workers=args.workers,
-    )
     sweep.run()
     print(sweep.report())
     return 0

@@ -73,7 +73,8 @@ class DensitySweep:
     sweep would — only sooner.  Set ``provisioning="pooled"`` and a
     shared ``key_cache_dir`` on ``base_config`` so the swept populations
     pay RSA keygen once across the whole sweep (and across repeated
-    sweeps).
+    sweeps): each user's key pair and the CA's, which every point shares.
+    The point configs are built, and so validated, on construction.
     """
 
     def __init__(
@@ -87,6 +88,7 @@ class DensitySweep:
         self.base_config = base_config or ScenarioConfig(duration_days=3, total_posts=110)
         self.populations = tuple(populations)
         self.workers = workers
+        self.configs = [self._config_for(num_users) for num_users in self.populations]
         self.points: List[DensityPoint] = []
 
     def _config_for(self, num_users: int) -> ScenarioConfig:
@@ -99,15 +101,11 @@ class DensitySweep:
         )
 
     def run(self) -> List[DensityPoint]:
-        configs = [self._config_for(num_users) for num_users in self.populations]
-        self.points = self._run_all(configs)
-        return self.points
-
-    def _run_all(self, configs: List[ScenarioConfig]) -> List[DensityPoint]:
         # parallel_map preserves population order, whatever finishes
         # first, and falls back to a serial run where forking is not
         # possible (each point is a pure function of its config).
-        return parallel_map(_run_sweep_point, configs, self.workers)
+        self.points = parallel_map(_run_sweep_point, self.configs, self.workers)
+        return self.points
 
     def report(self) -> str:
         rows: List[Tuple] = []

@@ -17,7 +17,7 @@ from repro.alleyoop import AlleyOopApp, CloudService
 from repro.core.config import SosConfig
 from repro.crypto.drbg import HmacDrbg
 from repro.faults import FaultInjector
-from repro.pki.provisioning import KeypairPool, provision_user
+from repro.pki.provisioning import CA_INDEX, KeypairPool, ca_drbg_seed, provision_user
 from repro.experiments.scenario import ScenarioConfig
 from repro.geo.region import Region
 from repro.metrics.collector import TraceCollector
@@ -184,8 +184,21 @@ class GainesvilleStudy:
         self.sim = Simulator(seed=cfg.seed)
         self.medium = Medium(self.sim, tick_interval=cfg.medium_tick_s)
         self.framework = MpcFramework(self.sim, self.medium)
+        # Identity provisioning: the pool (shared by pooled *and* lazy
+        # materialisation) lives on the study so benches can read its
+        # stats.  It serves the CA's key pair as well, so a build over a
+        # warm disk cache generates no key; eager keeps the paper's flow,
+        # the CA generating its own.
+        if cfg.provisioning in ("pooled", "lazy"):
+            self.keypair_pool = KeypairPool(cfg.key_cache_dir)
+            ca_keypair = self.keypair_pool.get(cfg.key_bits, cfg.seed, CA_INDEX)
+        else:
+            self.keypair_pool = ca_keypair = None
         self.cloud = CloudService(
-            rng=HmacDrbg.from_int(cfg.seed * 7919 + 1), now=0.0, key_bits=cfg.key_bits
+            rng=HmacDrbg.from_int(ca_drbg_seed(cfg.seed)),
+            now=0.0,
+            key_bits=cfg.key_bits,
+            keypair=ca_keypair,
         )
         region = Region(0.0, 0.0, cfg.area[0], cfg.area[1])
         city_rng = self.sim.streams.get("city")
@@ -200,14 +213,8 @@ class GainesvilleStudy:
             )
 
         nodes = sorted(self.social_graph.nodes)
-        # Identity provisioning: the pool (shared by pooled *and* lazy
-        # materialisation) lives on the study so benches can read its
-        # stats; pooled mode prefetches every user's key pair up front —
-        # in parallel when the scenario asks for workers.
-        if cfg.provisioning in ("pooled", "lazy"):
-            self.keypair_pool = KeypairPool(cfg.key_cache_dir)
-        else:
-            self.keypair_pool = None
+        # Pooled mode prefetches every user's key pair up front — in
+        # parallel when the scenario asks for workers.
         if cfg.provisioning == "pooled":
             self.keypair_pool.prefetch(
                 cfg.key_bits,

@@ -79,9 +79,11 @@ class ScenarioConfig:
     #: three yield byte-identical traces for a fixed seed; pooled/lazy
     #: exist to make large-N secured world builds tractable.
     provisioning: str = "eager"
-    #: On-disk keypair-pool directory for ``provisioning="pooled"``/"lazy";
-    #: ``None`` keeps the pool in memory only.  The one way to name a
-    #: key cache, so the config records whether a build could hit one.
+    #: On-disk keypair-pool directory for ``provisioning="pooled"``/"lazy",
+    #: holding every user's key pair and the CA's, so a build over a warm
+    #: cache generates no key; ``None`` keeps the pool in memory only.
+    #: The one way to name a key cache, so the config records whether a
+    #: build could hit one.
     key_cache_dir: Optional[str] = None
     #: Worker processes for the pooled-mode keypair prefetch (1 = serial;
     #: results are identical at any worker count).

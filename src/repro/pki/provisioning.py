@@ -25,12 +25,17 @@ from the world-construction hot path three ways, selected by the
     send/receive (first :attr:`~repro.pki.keystore.KeyStore.private_key`
     access).  A device that never secures a link never pays keygen.
 
+Under ``pooled`` and ``lazy`` the CA's key pair is a pool entry too
+(index :data:`CA_INDEX`), so a build over a warm on-disk cache generates
+no RSA key at all; ``eager`` keeps the CA's inline keygen.
+
 All three modes produce **byte-identical** key pairs and certificates for
-a fixed scenario seed: the per-user DRBG seed is the pure function
-:func:`signup_drbg_seed` of ``(scenario seed, user index)`` regardless of
-who generates when, and lazy issuance reuses the serial reserved at
-sign-up time — so delivery/delay traces are identical across modes
-(asserted end to end by ``benchmarks/test_bench_provisioning.py``).
+a fixed scenario seed: the DRBG seeds are the pure functions
+:func:`signup_drbg_seed` of ``(scenario seed, user index)`` and
+:func:`ca_drbg_seed` of the scenario seed, regardless of who generates
+when, and lazy issuance reuses the serial reserved at sign-up time — so
+delivery/delay traces are identical across modes (asserted end to end by
+``benchmarks/test_bench_provisioning.py``).
 
 Deterministic pooling example (512-bit keys for speed)::
 
@@ -51,7 +56,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey, generate_keypair
@@ -67,6 +72,12 @@ PROVISIONING_MODES = ("eager", "pooled", "lazy")
 #: changes, so a warm cache cannot serve keys the generator no longer makes.
 _KEY_MAGIC = "SOSKEY2"
 
+#: The pool index of the CA's key pair; users are indexed 0, 1, 2, ...
+CA_INDEX = "ca"
+
+#: A pool entry's index: a user's sign-up index or :data:`CA_INDEX`.
+PoolIndex = Union[int, str]
+
 
 def signup_drbg_seed(scenario_seed: int, index: int) -> int:
     """The per-user key-generation DRBG seed.
@@ -80,7 +91,15 @@ def signup_drbg_seed(scenario_seed: int, index: int) -> int:
     return scenario_seed * 104729 + index
 
 
-def _generate_pool_entry(task: Tuple[int, int, int]) -> Tuple[int, RsaKeyPair]:
+def ca_drbg_seed(scenario_seed: int) -> int:
+    """The CA's key-generation DRBG seed: a pure function of the scenario
+    seed, so the CA's pool entry is the key pair an eager build's CA
+    generates inline.  The constant is the one the original study build
+    used, so default traces are unchanged."""
+    return scenario_seed * 7919 + 1
+
+
+def _generate_pool_entry(task: Tuple[int, int, PoolIndex]) -> Tuple[PoolIndex, RsaKeyPair]:
     """Worker body for parallel prefetch: one fully deterministic entry.
 
     Each worker seeds its own DRBG from the entry's ``(bits, seed,
@@ -88,8 +107,8 @@ def _generate_pool_entry(task: Tuple[int, int, int]) -> Tuple[int, RsaKeyPair]:
     and chunking — a parallel prefetch is bit-for-bit the serial one.
     """
     bits, seed, index = task
-    rng = HmacDrbg.from_int(signup_drbg_seed(seed, index))
-    return index, generate_keypair(bits, rng=rng)
+    drbg_seed = ca_drbg_seed(seed) if index == CA_INDEX else signup_drbg_seed(seed, index)
+    return index, generate_keypair(bits, rng=HmacDrbg.from_int(drbg_seed))
 
 
 class KeypairPool:
@@ -107,18 +126,21 @@ class KeypairPool:
 
     def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir: Optional[Path] = Path(cache_dir) if cache_dir else None
-        self._memory: Dict[Tuple[int, int, int], RsaKeyPair] = {}
+        self._memory: Dict[Tuple[int, int, PoolIndex], RsaKeyPair] = {}
         self.stats = {"memory_hits": 0, "disk_hits": 0, "generated": 0}
 
     # -- key derivation -------------------------------------------------------
-    def _path_for(self, bits: int, seed: int, index: int) -> Optional[Path]:
+    def _path_for(self, bits: int, seed: int, index: PoolIndex) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / f"rsa-{bits}b-s{seed}-i{index}.key"
+        entry = CA_INDEX if index == CA_INDEX else f"i{index}"
+        return self.cache_dir / f"rsa-{bits}b-s{seed}-{entry}.key"
 
-    def get(self, bits: int, seed: int, index: int) -> RsaKeyPair:
+    def get(self, bits: int, seed: int, index: PoolIndex) -> RsaKeyPair:
         """The key pair for ``(bits, seed, index)`` — memory, then disk,
-        then deterministic generation (cached both ways)."""
+        then deterministic generation (cached both ways).  ``index``
+        :data:`CA_INDEX` is the CA's key pair, the one an eager build's CA
+        generates from :func:`ca_drbg_seed`."""
         key = (bits, seed, index)
         cached = self._memory.get(key)
         if cached is not None:
@@ -176,7 +198,7 @@ class KeypairPool:
         return len(missing)
 
     # -- disk layer -----------------------------------------------------------
-    def _load(self, bits: int, seed: int, index: int) -> Optional[RsaKeyPair]:
+    def _load(self, bits: int, seed: int, index: PoolIndex) -> Optional[RsaKeyPair]:
         path = self._path_for(bits, seed, index)
         if path is None or not path.is_file():
             return None
@@ -187,11 +209,14 @@ class KeypairPool:
             n, e, d, p, q = (int(value) for value in lines[1:])
         except (OSError, ValueError, IndexError):
             return None  # unreadable/corrupt: regenerate and overwrite
-        if p * q != n or n.bit_length() != bits:
+        # ``d`` is checked as generate_keypair defines it: a wrong one
+        # would sign with a key whose signatures never verify.
+        if (p * q != n or n.bit_length() != bits or min(p, q) < 2
+                or e * d % ((p - 1) * (q - 1)) != 1):
             return None
         return RsaKeyPair(private=RsaPrivateKey(n=n, e=e, d=d, p=p, q=q))
 
-    def _store(self, bits: int, seed: int, index: int, keypair: RsaKeyPair) -> None:
+    def _store(self, bits: int, seed: int, index: PoolIndex, keypair: RsaKeyPair) -> None:
         path = self._path_for(bits, seed, index)
         if path is None:
             return

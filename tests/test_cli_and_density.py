@@ -83,8 +83,9 @@ class TestCli:
             (["study", "--faults", "frame_drop_prob=1.5"], "frame_drop_prob"),
             (["density", "--workers", "0"], "at least 1"),
             (["density", "--populations", "10,x"], "--populations"),
+            (["density", "--populations", "1"], "need at least two users"),
         ],
-        ids=["users", "faults", "workers", "populations"],
+        ids=["users", "faults", "workers", "populations", "population-below-two"],
     )
     def test_rejected_value_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -15,13 +15,33 @@ from repro.crypto.rsa import generate_keypair
 from repro.experiments import DensitySweep, GainesvilleStudy, ScenarioConfig
 from repro.experiments.density_sweep import _run_sweep_point
 from repro.pki.provisioning import (
+    CA_INDEX,
     PROVISIONING_MODES,
     KeypairPool,
+    ca_drbg_seed,
     provision_user,
     signup_drbg_seed,
 )
 
 BITS = 512  # fast keygen; fine for pool tests (no OAEP involved)
+
+
+@pytest.fixture
+def keygens(monkeypatch):
+    """Every key pair generated, by any module that generates one, while
+    the test runs."""
+    from repro.alleyoop import signup
+    from repro.pki import ca, provisioning
+
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(generate_keypair(*args, **kwargs))
+        return made[-1]
+
+    for module in (ca, provisioning, signup):
+        monkeypatch.setattr(module, "generate_keypair", counted)
+    return made
 
 
 class TestKeypairPool:
@@ -67,6 +87,56 @@ class TestKeypairPool:
         regenerated = cold.get(BITS, seed=9, index=0)
         assert cold.stats["generated"] == 1
         assert regenerated.private == original.private  # deterministic redo
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda key: (key.n, key.e, key.d + 2, key.p, key.q),
+            lambda key: (key.n, key.e, key.d, 1, key.n),
+        ],
+        ids=["wrong-d", "trivial-factor"],
+    )
+    def test_key_file_with_inconsistent_values_regenerates(self, tmp_path, corrupt):
+        """A well-formed entry with ``p * q == n`` whose ``d`` is not
+        ``e``'s inverse mod (p-1)(q-1) would sign with signatures that
+        never verify, and a factor of 1 would divide by zero: each is
+        regenerated and overwritten, not served."""
+        original = KeypairPool(str(tmp_path)).get(BITS, seed=9, index=0).private
+        (path,) = list(tmp_path.iterdir())
+        path.write_text("\n".join(
+            str(value) for value in ("SOSKEY2", *corrupt(original))
+        ) + "\n")
+        cold = KeypairPool(str(tmp_path))
+        served = cold.get(BITS, seed=9, index=0)
+        assert cold.stats == {"memory_hits": 0, "disk_hits": 0, "generated": 1}
+        assert served.private == original
+        assert served.public.verify(b"m", served.private.sign(b"m"))
+        assert KeypairPool(str(tmp_path)).get(BITS, seed=9, index=0).private == original
+
+    def test_ca_entry_is_the_eager_ca_key_under_its_own_file(self, tmp_path):
+        pool = KeypairPool(str(tmp_path))
+        served = pool.get(BITS, seed=2017, index=CA_INDEX)
+        direct = generate_keypair(BITS, rng=HmacDrbg.from_int(ca_drbg_seed(2017)))
+        assert served.private == direct.private
+        assert served.public != pool.get(BITS, seed=2017, index=0).public
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "rsa-512b-s2017-ca.key", "rsa-512b-s2017-i0.key",
+        ]
+        assert pool.get(BITS, seed=2017, index=CA_INDEX) is served
+        cold = KeypairPool(str(tmp_path))
+        assert cold.get(BITS, seed=2017, index=CA_INDEX).private == direct.private
+        assert cold.stats == {"memory_hits": 0, "disk_hits": 1, "generated": 0}
+
+    def test_corrupt_ca_key_file_regenerates(self, tmp_path):
+        original = KeypairPool(str(tmp_path)).get(BITS, seed=9, index=CA_INDEX).private
+        (path,) = list(tmp_path.iterdir())
+        path.write_text("garbage\nnot a key\n")
+        cold = KeypairPool(str(tmp_path))
+        assert cold.get(BITS, seed=9, index=CA_INDEX).private == original
+        assert cold.stats["generated"] == 1
+        later = KeypairPool(str(tmp_path))  # the file was overwritten
+        assert later.get(BITS, seed=9, index=CA_INDEX).private == original
+        assert later.stats["disk_hits"] == 1
 
     def test_key_file_from_the_previous_generator_regenerates(self, tmp_path):
         """A well-formed key under the previous format's magic came from a
@@ -228,9 +298,9 @@ class TestStudyIntegration:
 
     def test_trace_does_not_depend_on_key_bytes(self, tmp_path):
         """Keys generated from other seeds, served from the disk cache as
-        the smoke_default users' keys, reproduce the committed trace sha:
-        no key byte reaches the trace, so a change to key generation
-        leaves every pinned digest in place."""
+        the smoke_default users' and CA's keys, reproduce the committed
+        trace sha: no key byte reaches the trace, so a change to key
+        generation leaves every pinned digest in place."""
         repo = Path(__file__).resolve().parent.parent
         baseline = json.loads((repo / "BENCH_default.json").read_text())
         runs = [run for run in baseline["runs"] if run["name"] == "smoke_default"]
@@ -243,9 +313,12 @@ class TestStudyIntegration:
             rng = HmacDrbg.from_int(signup_drbg_seed(config.seed + 1, index))
             pool._store(config.key_bits, config.seed, index,
                         generate_keypair(config.key_bits, rng=rng))
+        rng = HmacDrbg.from_int(ca_drbg_seed(config.seed + 1))
+        pool._store(config.key_bits, config.seed, CA_INDEX,
+                    generate_keypair(config.key_bits, rng=rng))
         study = GainesvilleStudy(config)
         study.run()
-        assert study.keypair_pool.stats["disk_hits"] == config.num_users
+        assert study.keypair_pool.stats["disk_hits"] == config.num_users + 1
         assert study.keypair_pool.stats["generated"] == 0
         assert trace_sha256(study.sim) == expected
 
@@ -253,13 +326,44 @@ class TestStudyIntegration:
         config = ScenarioConfig(
             provisioning="pooled", key_cache_dir=str(tmp_path), **self.BASE
         )
+        # Every user's entry and the CA's.
         first = GainesvilleStudy(config)
         first.build()
-        assert first.keypair_pool.stats["generated"] == self.BASE["num_users"]
+        assert first.keypair_pool.stats["generated"] == self.BASE["num_users"] + 1
         second = GainesvilleStudy(config)
         second.build()
         assert second.keypair_pool.stats["generated"] == 0
-        assert second.keypair_pool.stats["disk_hits"] == self.BASE["num_users"]
+        assert second.keypair_pool.stats["disk_hits"] == self.BASE["num_users"] + 1
+
+    @pytest.mark.parametrize("mode", ["pooled", "lazy"])
+    def test_warm_build_generates_no_key(self, mode, tmp_path, keygens):
+        GainesvilleStudy(ScenarioConfig(
+            provisioning="pooled", key_cache_dir=str(tmp_path), **self.BASE
+        )).build()
+        del keygens[:]
+        study = GainesvilleStudy(ScenarioConfig(
+            provisioning=mode, key_cache_dir=str(tmp_path), **self.BASE
+        ))
+        study.build()
+        assert keygens == []
+        assert study.keypair_pool.stats["generated"] == 0
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["memory", "disk"])
+    def test_ca_root_certificate_is_the_eager_one(self, cached, tmp_path):
+        """The pool serves the CA exactly the key pair it generates for
+        itself under eager provisioning, so its root certificate (and
+        every certificate it signs) is the same bytes.  With a disk
+        cache the pooled build generates the entry and the lazy build
+        reads it back."""
+        config = dict(self.BASE, num_users=3, total_posts=0, key_bits=BITS)
+        eager = GainesvilleStudy(ScenarioConfig(provisioning="eager", **config))
+        eager.build()
+        for mode in ("pooled", "lazy"):
+            study = GainesvilleStudy(ScenarioConfig(
+                provisioning=mode, key_cache_dir=str(tmp_path) if cached else None, **config
+            ))
+            study.build()
+            assert study.cloud.root_certificate.encode() == eager.cloud.root_certificate.encode()
 
     def test_key_cache_environment_variable_is_ignored(self, tmp_path, monkeypatch):
         """``key_cache_dir`` is the one way to name a key cache, so the
@@ -271,7 +375,7 @@ class TestStudyIntegration:
         study = GainesvilleStudy(ScenarioConfig(provisioning="pooled", **self.BASE))
         study.build()
         assert study.keypair_pool.cache_dir is None
-        assert study.keypair_pool.stats["generated"] == self.BASE["num_users"]
+        assert study.keypair_pool.stats["generated"] == self.BASE["num_users"] + 1
         assert list(cache.iterdir()) == []
 
     def test_parallel_sweep_matches_serial(self, tmp_path):
@@ -282,6 +386,18 @@ class TestStudyIntegration:
         serial = DensitySweep(base_config=base, populations=(4, 5), workers=1)
         parallel = DensitySweep(base_config=base, populations=(4, 5), workers=2)
         assert serial.run() == parallel.run()
+
+    def test_sweep_over_one_cache_generates_the_ca_key_once(self, tmp_path, keygens):
+        base = ScenarioConfig(
+            num_users=4, duration_days=1, total_posts=10, seed=31,
+            provisioning="pooled", key_cache_dir=str(tmp_path),
+        )
+        DensitySweep(base_config=base, populations=(4, 5)).run()
+        ca_public = generate_keypair(
+            base.key_bits, rng=HmacDrbg.from_int(ca_drbg_seed(base.seed))
+        ).public
+        assert [keypair.public for keypair in keygens].count(ca_public) == 1
+        assert len(keygens) == 5 + 1  # every user once, and the CA
 
     def test_parallel_sweep_with_pooled_workers(self, tmp_path):
         """Regression: a pooled build inside a daemonic sweep worker must
