@@ -22,7 +22,6 @@ from repro.alleyoop.post import Post, PostFormatError
 from repro.core.config import SosConfig
 from repro.core.delegates import SosDelegate
 from repro.core.middleware import SOSMiddleware
-from repro.core.routing.registry import RoutingRegistry
 from repro.crypto.drbg import RandomSource
 # Imported from the dependency-free module, not the repro.faults package,
 # so attaching a retry policy never drags the injector into this import graph.
@@ -49,7 +48,6 @@ class AlleyOopApp(SosDelegate):
         cloud: CloudService,
         rng: RandomSource,
         config: Optional[SosConfig] = None,
-        registry: Optional[RoutingRegistry] = None,
         resilience: Optional[RetryPolicy] = None,
     ) -> None:
         self.sim = sim
@@ -94,7 +92,6 @@ class AlleyOopApp(SosDelegate):
             rng=rng,
             config=config,
             delegate=self,
-            registry=registry,
         )
 
     # -- lifecycle ----------------------------------------------------------------

@@ -168,7 +168,10 @@ def cmd_study(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _config_from(args)
     protocols = tuple(args.only.split(",")) if args.only else ProtocolComparison.DEFAULT_PROTOCOLS
-    comparison = ProtocolComparison(base_config=config, protocols=protocols)
+    try:
+        comparison = ProtocolComparison(base_config=config, protocols=protocols)
+    except ValueError as exc:
+        args.parser.error(f"--only: {exc}")
     comparison.run()
     print(comparison.report())
     return 0
@@ -208,9 +211,11 @@ def cmd_graph_stats(args: argparse.Namespace) -> int:
     from repro.social.generators import make_social_graph, resolve_social_graph_kind
 
     kind = args.social_graph or "auto"
-    resolved = resolve_social_graph_kind(kind, args.users)
-    rng = RandomStreams(args.seed).get("social")
-    graph = make_social_graph(kind, args.users, rng)
+    try:
+        resolved = resolve_social_graph_kind(kind, args.users)
+        graph = make_social_graph(kind, args.users, RandomStreams(args.seed).get("social"))
+    except ValueError as exc:
+        args.parser.error(f"--users: {exc}")
     summary = social_metrics.degree_summary(graph)
     print(
         format_table(
@@ -401,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="out",
         help="which degree to histogram (default: out)",
     )
-    graph_stats.set_defaults(func=cmd_graph_stats)
+    graph_stats.set_defaults(func=cmd_graph_stats, parser=graph_stats)
 
     lint = sub.add_parser(
         "lint",

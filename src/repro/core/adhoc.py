@@ -29,7 +29,7 @@ Security properties enforced here:
   end-to-end *originator* signatures on forwarded DATA are independent of
   either mode and always verified (paper Fig. 3b),
 * a peer whose certificate fails validation is disconnected and ignored
-  for ``reconnect_backoff`` seconds,
+  for :data:`RECONNECT_BACKOFF_S` seconds,
 * tampered, replayed or unverifiable payloads are dropped and reported
   upward as security events — they never reach the routing layer.
 """
@@ -61,6 +61,11 @@ from repro.mpc.session import Session, SessionDelegate, SessionState
 from repro.pki.keystore import KeyStore
 from repro.sim.engine import Simulator
 from repro.sim.process import Timer
+
+#: Seconds to wait for the peer's certificate before dropping the session.
+CERTIFICATE_EXCHANGE_TIMEOUT_S = 20.0
+#: Seconds to ignore a peer after a failed security handshake.
+RECONNECT_BACKOFF_S = 300.0
 
 
 @dataclass
@@ -158,9 +163,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
     # -- advertising -------------------------------------------------------------
     def set_advertisement(self, marks: Dict[str, int]) -> None:
         """Publish the plain-text UserID -> MessageNumber dictionary."""
-        self.advertiser.set_discovery_info(
-            build_advertisement(marks, limit=self.config.advertisement_limit)
-        )
+        self.advertiser.set_discovery_info(build_advertisement(marks))
 
     # -- nearby users -------------------------------------------------------------
     def surrounding_users(self) -> list:
@@ -238,7 +241,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
         state.cert_timer = Timer(
             self.sim, lambda: self._cert_timeout(user_id), name=f"cert-timeout:{user_id}"
         )
-        state.cert_timer.start(self.config.certificate_exchange_timeout)
+        state.cert_timer.start(CERTIFICATE_EXCHANGE_TIMEOUT_S)
 
     def session_peer_disconnected(self, session: Session, peer: PeerID) -> None:
         user_id = peer.display_name
@@ -351,8 +354,6 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
                 private_key=self.keystore.private_key,
                 peer_public_key=peer_cert.public_key,
                 rng=self._rng,
-                rekey_interval_s=self.config.session_rekey_interval,
-                rekey_packets=self.config.session_rekey_packets,
                 seen_key_fingerprints=self._seen_session_keys,
             )
         return state.channel
@@ -449,7 +450,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
     # -- failures ------------------------------------------------------------------------
     def _security_failure(self, user_id: str, reason: str) -> None:
         self.stats["security_failures"] += 1
-        self._blacklist_until[user_id] = self.sim.now + self.config.reconnect_backoff
+        self._blacklist_until[user_id] = self.sim.now + RECONNECT_BACKOFF_S
         state = self._peers.get(user_id)
         if state is not None:
             state.secured = False

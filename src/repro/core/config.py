@@ -12,9 +12,13 @@ from dataclasses import dataclass
 USER_ID_LENGTH = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SosConfig:
-    """Tunable middleware parameters.
+    """The settings an app embedding the middleware chooses (§III-A's
+    routing-protocol selection and security preferences); frozen, so a
+    study shares one instance across its devices.  Fixed protocol values
+    (buffer budget, timeouts, advertisement size, rekey budgets) are
+    constants in the modules that read them.
 
     Attributes
     ----------
@@ -24,12 +28,6 @@ class SosConfig:
     routing_protocol:
         Name of the initially selected routing protocol (user-toggleable
         at runtime, §VII).
-    buffer_capacity_bytes:
-        Message-store budget for *forwarded* copies; ``None`` = unbounded.
-    advertisement_limit:
-        Maximum number of (UserID, MessageNumber) entries advertised; the
-        freshest authors win when the store knows more (MPC's discovery
-        payload is small).
     require_encryption:
         Security preference: refuse plaintext payload exchange.  The field
         study ran with encryption on; turning it off is only for the
@@ -40,16 +38,6 @@ class SosConfig:
         :mod:`repro.crypto.session`).  Off selects the legacy per-packet
         hybrid-RSA pipeline, kept as the reference oracle; both modes
         produce byte-identical delivery/delay traces for a fixed seed.
-    session_rekey_interval:
-        Seconds a session sending key may stay in use before the next
-        packet establishes a fresh one.
-    session_rekey_packets:
-        Packets a session sending key may protect before rekeying.
-    certificate_exchange_timeout:
-        Seconds to wait for the peer's certificate before dropping the
-        session.
-    reconnect_backoff:
-        Seconds to ignore a peer after a failed security handshake.
     relay_request_grace:
         Seconds a node waits before pulling content from a *relay* when
         the same content might arrive from its author directly (origin
@@ -58,14 +46,8 @@ class SosConfig:
 
     service_type: str = "sos-alleyoop"
     routing_protocol: str = "interest"
-    buffer_capacity_bytes: int = 16 * 1024 * 1024
-    advertisement_limit: int = 64
     require_encryption: bool = True
     session_crypto: bool = True
-    session_rekey_interval: float = 3600.0
-    session_rekey_packets: int = 4096
-    certificate_exchange_timeout: float = 20.0
-    reconnect_backoff: float = 300.0
     relay_request_grace: float = 90.0
     #: Disseminate follow/unfollow actions as (system) messages — §V's
     #: "performs an action such as follow/unfollow of a user".  Gossiped
@@ -78,13 +60,3 @@ class SosConfig:
     #: Off by default: the calibrated field-study reproduction measures
     #: post dissemination only.
     gossip_follows: bool = False
-
-    def __post_init__(self) -> None:
-        if self.advertisement_limit < 1:
-            raise ValueError("advertisement_limit must be at least 1")
-        if self.certificate_exchange_timeout <= 0:
-            raise ValueError("certificate_exchange_timeout must be positive")
-        if self.session_rekey_interval <= 0:
-            raise ValueError("session_rekey_interval must be positive")
-        if self.session_rekey_packets < 1:
-            raise ValueError("session_rekey_packets must be at least 1")

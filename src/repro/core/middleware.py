@@ -36,6 +36,13 @@ from repro.pki.keystore import KeyStore
 from repro.sim.engine import Simulator
 from repro.storage.messagestore import MessageStore, StoredMessage
 
+#: Message-store budget for *forwarded* copies (a device's own posts are
+#: never evicted).
+BUFFER_CAPACITY_BYTES = 16 * 1024 * 1024
+
+#: The shipped protocols: one name -> factory table for the process.
+PROTOCOLS = RoutingRegistry.with_builtins()
+
 
 class SOSMiddleware:
     """The embeddable middleware instance."""
@@ -50,7 +57,6 @@ class SOSMiddleware:
         rng: RandomSource,
         config: Optional[SosConfig] = None,
         delegate: Optional[SosDelegate] = None,
-        registry: Optional[RoutingRegistry] = None,
     ) -> None:
         if not keystore.provisioned:
             raise NotSignedUpError(
@@ -60,8 +66,7 @@ class SOSMiddleware:
         self.sim = sim
         self.config = config or SosConfig()
         self.user_id = user_id
-        self.registry = registry or RoutingRegistry.with_builtins()
-        self.store = MessageStore(capacity_bytes=self.config.buffer_capacity_bytes)
+        self.store = MessageStore(capacity_bytes=BUFFER_CAPACITY_BYTES)
         self.adhoc = AdHocManager(
             sim=sim,
             framework=framework,
@@ -106,11 +111,11 @@ class SOSMiddleware:
         return self.messages.protocol.name
 
     def available_protocols(self) -> List[str]:
-        return self.registry.names()
+        return PROTOCOLS.names()
 
     def select_protocol(self, name: str) -> None:
         """Runtime scheme toggle (paper §VII)."""
-        self.messages.set_protocol(self.registry.create(name))
+        self.messages.set_protocol(PROTOCOLS.create(name))
 
     # -- interests --------------------------------------------------------------------
     def set_interests(self, user_ids: Set[str]) -> None:

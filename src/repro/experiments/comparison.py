@@ -56,13 +56,14 @@ class ProtocolComparison:
     ) -> None:
         self.base_config = base_config or ScenarioConfig()
         self.protocols = tuple(protocols)
+        # Built up front, so an unknown protocol is rejected before any run.
+        self._configs = {p: replace(self.base_config, routing_protocol=p) for p in self.protocols}
         self.outcomes: Dict[str, ProtocolOutcome] = {}
         self.results: Dict[str, StudyResult] = {}
 
     def run(self) -> List[ProtocolOutcome]:
         for protocol in self.protocols:
-            config = replace(self.base_config, routing_protocol=protocol)
-            result = GainesvilleStudy(config).run()
+            result = GainesvilleStudy(self._configs[protocol]).run()
             self.results[protocol] = result
             self.outcomes[protocol] = ProtocolOutcome.from_result(protocol, result)
         return [self.outcomes[p] for p in self.protocols]

@@ -213,6 +213,12 @@ class GainesvilleStudy:
             )
 
         nodes = sorted(self.social_graph.nodes)
+        sos_config = SosConfig(
+            routing_protocol=cfg.routing_protocol,
+            require_encryption=cfg.require_encryption,
+            session_crypto=cfg.session_crypto,
+            relay_request_grace=cfg.relay_request_grace,
+        )
         # Pooled mode prefetches every user's key pair up front — in
         # parallel when the scenario asks for workers.
         if cfg.provisioning == "pooled":
@@ -247,12 +253,6 @@ class GainesvilleStudy:
             mobility = WorkingDayMovement(schedule, self.sim.streams.get(f"mobility:{node}"))
             device = Device(f"device-{node}", mobility)
             self.devices[node] = device
-            sos_config = SosConfig(
-                routing_protocol=cfg.routing_protocol,
-                require_encryption=cfg.require_encryption,
-                session_crypto=cfg.session_crypto,
-                relay_request_grace=cfg.relay_request_grace,
-            )
             self.apps[node] = AlleyOopApp(
                 sim=self.sim,
                 framework=self.framework,

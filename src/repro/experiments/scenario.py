@@ -10,9 +10,11 @@ and the ``DailySchedule`` / ``SyntheticCity.gainesville_like`` defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.core.middleware import PROTOCOLS
 from repro.faults.plan import FaultPlan
 from repro.pki.provisioning import PROVISIONING_MODES
 from repro.social.generators import resolve_social_graph_kind
@@ -114,6 +116,20 @@ class ScenarioConfig:
             raise ValueError("need at least one day")
         if self.total_posts < 0:
             raise ValueError("total_posts must be non-negative")
+        # Chained comparisons, so NaN (every comparison false) fails too.
+        if len(self.area) != 2 or not all(0 < side < math.inf for side in self.area):
+            raise ValueError(f"area must be two finite positive sides, got {self.area!r}")
+        if not 0 < self.medium_tick_s < math.inf:
+            raise ValueError(f"medium_tick_s must be finite and positive, got {self.medium_tick_s}")
+        for name in ("meetups_per_day", "relay_request_grace"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.routing_protocol not in PROTOCOLS:
+            raise ValueError(
+                f"unknown routing protocol {self.routing_protocol!r}; "
+                f"available: {', '.join(PROTOCOLS.names())}"
+            )
         if self.provisioning not in PROVISIONING_MODES:
             raise ValueError(
                 f"provisioning must be one of {PROVISIONING_MODES}, "

@@ -56,12 +56,17 @@ class SyntheticCity:
             ),
             radius=campus_radius,
         )
+        # Homes avoid the immediate campus core but cover the region, so
+        # some corner must lie beyond the core (a NaN side never does).
+        core = campus_radius * 1.5
+        corners = [Point(x, y) for x in (region.x0, region.x1) for y in (region.y0, region.y1)]
+        if not max(c.distance_to(campus.location) for c in corners) > core:
+            raise ValueError(f"no room for homes: {region} lies within {core:g} m of the campus")
         homes = []
         for i in range(num_homes):
-            # Homes avoid the immediate campus core but cover the region.
             while True:
                 p = region.random_point(rng)
-                if p.distance_to(campus.location) > campus_radius * 1.5:
+                if p.distance_to(campus.location) > core:
                     break
             homes.append(Place(name=f"home-{i}", kind=PlaceKind.HOME, location=p, radius=20.0))
         venues = []

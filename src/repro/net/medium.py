@@ -5,7 +5,7 @@ is, and which pairs are within radio range.  On a fixed tick it advances
 every mobility model, refreshes a spatial index, and diffs the in-range
 pair set against the previous tick, emitting ``link_up`` / ``link_down``
 callbacks with the best common radio.  Hysteresis (connect at R, drop at
-R * ``hysteresis``) prevents link flapping at range boundaries — real
+R * :data:`HYSTERESIS`) prevents link flapping at range boundaries — real
 radios behave the same way because of fading margins.  The drop threshold
 is always derived from the radio the link was *raised* on, so a pair
 whose best common technology would change mid-contact keeps a stable
@@ -66,6 +66,10 @@ LinkCallback = Callable[[Device, Device, RadioProfile], None]
 
 _MISSING = object()
 
+#: Link-drop range multiplier: a link raised at range R drops beyond
+#: R * HYSTERESIS.
+HYSTERESIS = 1.1
+
 
 class Medium:
     """Contact detection over mobile devices.
@@ -79,23 +83,13 @@ class Medium:
         encounters (a 10 m Bluetooth bubble at 1.4 m/s closing speed lasts
         ~14 s; P2P WiFi at 60 m lasts ~85 s) while keeping 7-day runs fast;
         tighten it in micro-benchmarks when Bluetooth-only fidelity matters.
-    hysteresis:
-        Link-drop range multiplier (drop at range * hysteresis).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        tick_interval: float = 30.0,
-        hysteresis: float = 1.1,
-    ) -> None:
+    def __init__(self, sim: Simulator, tick_interval: float = 30.0) -> None:
         if tick_interval <= 0:
             raise ValueError(f"tick_interval must be positive, got {tick_interval}")
-        if hysteresis < 1.0:
-            raise ValueError(f"hysteresis must be >= 1.0, got {hysteresis}")
         self.sim = sim
         self.tick_interval = float(tick_interval)
-        self.hysteresis = float(hysteresis)
         self.devices: Dict[str, Device] = {}
         self.contacts = ContactTracker()
         self._index = SpatialHashIndex(cell_size=120.0)
@@ -103,7 +97,7 @@ class Medium:
         self._up_callbacks: List[LinkCallback] = []
         self._down_callbacks: List[LinkCallback] = []
         self._max_range = 0.0
-        #: device_id -> own maximum radio reach * hysteresis (sweep cutoff).
+        #: device_id -> own maximum radio reach * HYSTERESIS (sweep cutoff).
         self._reach: Dict[str, float] = {}
         # Radio resolution is cached per *radio-set class*, not per pair:
         # radio sets are immutable tuples, so a population carrying k
@@ -138,7 +132,7 @@ class Medium:
         self.devices[device.device_id] = device
         own_range = max(r.range_m for r in device.radios)
         self._max_range = max(self._max_range, own_range)
-        self._reach[device.device_id] = own_range * self.hysteresis
+        self._reach[device.device_id] = own_range * HYSTERESIS
         set_id = self._radio_set_ids.get(device.radios)
         if set_id is None:
             set_id = len(self._radio_set_ids)
@@ -197,7 +191,7 @@ class Medium:
                     lit.append((device.device_id, position))
         index = self._index
         index.update_many(lit)
-        sweep = self._max_range * self.hysteresis
+        sweep = self._max_range * HYSTERESIS
         candidates = index.pairs_within(sweep, reach_of=self._reach) if len(lit) > 1 else []
         self._apply_candidates(candidates)
         self.tick_cpu_s += time.process_time() - started  # repro: ignore[nondet-wallclock] -- bench instrumentation only: see above.
@@ -232,14 +226,13 @@ class Medium:
         linked = self._linked
         radio_class = self._radio_class
         class_radio = self._class_radio
-        hysteresis = self.hysteresis
         survivors: Set[Tuple[str, str]] = set()
         to_raise: List[Tuple[Tuple[str, str], RadioProfile]] = []
         for a, b, d2 in candidates:
             key = (a, b) if a <= b else (b, a)
             active = linked.get(key)
             if active is not None:
-                limit = active.range_m * hysteresis
+                limit = active.range_m * HYSTERESIS
                 if d2 <= limit * limit:
                     survivors.add(key)
                 continue

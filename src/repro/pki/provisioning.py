@@ -6,9 +6,8 @@ Fig. 2a).  In the reproduction that keygen is pure build-time cost —
 1024-bit simulation key size — and after the
 batched medium (PR 1) and the session-crypto layer (PR 2) it is what
 makes large-N secured sweeps intractable.  This module removes keygen
-from the world-construction hot path three ways, selected by the
-``provisioning`` knob (:class:`repro.core.config.SosConfig` /
-:class:`repro.experiments.scenario.ScenarioConfig`):
+from the world-construction hot path three ways, selected by
+:attr:`repro.experiments.scenario.ScenarioConfig.provisioning`:
 
 ``eager``
     The reference flow: generate on-device during sign-up, exactly as the

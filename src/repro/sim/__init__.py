@@ -4,7 +4,7 @@ Every other subsystem in this reproduction (radios, mobility, the SOS
 middleware, the AlleyOop Social application) runs on top of this engine.
 The engine is deliberately small and auditable:
 
-* a binary-heap event queue ordered by ``(time, priority, sequence)``,
+* a binary-heap event queue ordered by ``(time, sequence)``,
 * a monotonically advancing simulation clock,
 * named, independently seeded random streams (:class:`RandomStreams`) so
   that, e.g., mobility noise and message-creation times are decoupled and

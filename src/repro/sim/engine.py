@@ -1,18 +1,18 @@
 """The discrete-event simulation engine.
 
 The engine is a classic event-heap design: callbacks are scheduled at
-absolute simulation times and executed in ``(time, priority, sequence)``
-order.  Ties on time are broken first by an integer priority (lower runs
-earlier) and then by insertion order, which makes runs fully deterministic
-for a fixed seed and schedule.
+finite absolute simulation times and executed in ``(time, sequence)``
+order.  Ties on time are broken by insertion order, which makes runs
+fully deterministic for a fixed seed and schedule.
 
-The heap holds ``(time, priority, seq, event)`` tuples, which ``heapq``
-compares in C; ``seq`` is unique, so the event itself is never compared.
+The heap holds ``(time, seq, event)`` tuples, which ``heapq`` compares
+in C; ``seq`` is unique, so the event itself is never compared.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.randomness import RandomStreams
@@ -20,7 +20,7 @@ from repro.sim.trace import TraceRecorder
 
 
 class SimulationError(RuntimeError):
-    """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
+    """Raised for invalid scheduling requests (a past or non-finite time)."""
 
 
 class Event:
@@ -28,8 +28,8 @@ class Event:
 
     Events are created through :meth:`Simulator.schedule_at` /
     :meth:`Simulator.schedule_in` and can be cancelled.  The simulator's
-    heap holds each one as the last item of a ``(time, priority, seq,
-    event)`` entry; the event defines no ordering itself.  Cancellation is
+    heap holds each one as the last item of a ``(time, seq, event)``
+    entry; the event defines no ordering itself.  Cancellation is
     lazy: the heap entry stays in place and is skipped when popped — the
     simulator compacts the heap when cancelled entries pile up, so
     timer-heavy scenarios (restartable timeouts cancelled on every
@@ -76,18 +76,17 @@ class Simulator:
         Master seed for the simulator's named random streams.  Two
         simulators built with the same seed and the same schedule produce
         byte-identical traces.
-    start_time:
-        Simulation epoch in seconds.  Experiments use 0.0 and express the
-        7-day field study as ``until=7 * 86400``.
+
+    The clock starts at 0.0; the 7-day field study runs to ``7 * 86400``.
     """
 
     #: Compaction trigger: rebuild the heap once at least this many
     #: cancelled entries linger *and* they outnumber the live ones.
     COMPACT_MIN_CANCELLED = 1024
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
-        self._heap: List[Tuple[float, int, int, Event]] = []
+    def __init__(self, seed: int = 0) -> None:
+        self._now = 0.0
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._running = False
         self._cancelled_in_heap = 0
@@ -103,31 +102,30 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for entry in self._heap if not entry[3].cancelled)
+        return sum(1 for entry in self._heap if not entry[2].cancelled)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., Any],
         *args: Any,
-        priority: int = 0,
         name: str = "",
         owner: Optional[Any] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` at absolute time ``time``.
+        """Schedule ``callback(*args)`` at absolute time ``time``, which
+        must be finite and not in the past.
 
         ``owner`` tags the event for bulk cancellation via
         :meth:`cancel_owned` (used by the fault injector to quiesce every
         process it scheduled in one call); it has no effect on ordering.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time:.6f}, now is {self._now:.6f}"
-            )
+        # Chained, so the past, +inf and NaN (every comparison false) fail.
+        if not self._now <= time < inf:
+            raise SimulationError(f"cannot schedule event at {time!r}, now is {self._now:.6f}")
         time = float(time)
         event = Event(time, callback, args, name, owner)
         event._on_cancel = self._note_cancelled
-        heapq.heappush(self._heap, (time, priority, self._seq, event))
+        heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         return event
 
@@ -136,7 +134,7 @@ class Simulator:
         comparison).  Returns the number of events cancelled."""
         count = 0
         for entry in self._heap:
-            event = entry[3]
+            event = entry[2]
             if not event.cancelled and event.owner is owner:
                 event.cancel()
                 count += 1
@@ -153,9 +151,9 @@ class Simulator:
     def _compact(self) -> None:
         """Drop cancelled entries and restore the heap invariant.
 
-        O(n) on the surviving events; ``(time, priority, seq)`` keys are
-        unique, so re-heapifying cannot reorder execution."""
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+        O(n) on the surviving events; ``(time, seq)`` keys are unique, so
+        re-heapifying cannot reorder execution."""
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
@@ -164,16 +162,12 @@ class Simulator:
         delay: float,
         callback: Callable[..., Any],
         *args: Any,
-        priority: int = 0,
         name: str = "",
         owner: Optional[Any] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` after ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        return self.schedule_at(
-            self._now + delay, callback, *args, priority=priority, name=name, owner=owner
-        )
+        """Schedule ``callback(*args)`` after ``delay`` seconds (a negative or
+        non-finite delay is rejected, as :meth:`schedule_at` rejects its time)."""
+        return self.schedule_at(self._now + delay, callback, *args, name=name, owner=owner)
 
     def add_step_hook(self, hook: Callable[[float], None]) -> None:
         """Register ``hook(now)`` to run after every executed event.
@@ -197,7 +191,7 @@ class Simulator:
         executed = 0
         try:
             while self._heap:
-                time, _, _, event = self._heap[0]
+                time, _, event = self._heap[0]
                 if event.cancelled:
                     heapq.heappop(self._heap)
                     self._cancelled_in_heap -= 1

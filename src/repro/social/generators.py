@@ -25,19 +25,18 @@ SOCIAL_GRAPH_KINDS = (
     "powerlaw_cluster",
 )
 
+#: Back-edge probabilities: of a drawn Erdos-Renyi follow (human follow
+#: graphs are strongly but not fully reciprocal; Fig. 4a's reciprocity
+#: is 52/58 = 0.90), and of the clustered generators' follows.
+RANDOM_RECIPROCITY = 0.7
+CLUSTER_RECIPROCITY = 0.85
+#: ``hub_and_cluster_digraph``'s pairwise follow probability in the periphery.
+PERIPHERAL_DENSITY = 0.5
 
-def random_digraph(
-    nodes: Sequence,
-    density: float,
-    rng: random.Random,
-    reciprocity: float = 0.7,
-) -> SocialDigraph:
-    """Erdos-Renyi-style digraph with a target directed density.
 
-    ``reciprocity`` is the probability that a drawn follow is immediately
-    reciprocated (human follow graphs are strongly but not fully
-    reciprocal; Fig. 4a's reciprocity is 52/58 = 0.90).
-    """
+def random_digraph(nodes: Sequence, density: float, rng: random.Random) -> SocialDigraph:
+    """Erdos-Renyi-style digraph with a target directed density; a drawn
+    follow is reciprocated with probability ``RANDOM_RECIPROCITY``."""
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0, 1], got {density}")
     graph = SocialDigraph()
@@ -53,7 +52,7 @@ def random_digraph(
             break
         first, second = (a, b) if rng.random() < 0.5 else (b, a)
         graph.add_edge(first, second)
-        if graph.edge_count < target_edges and rng.random() < reciprocity:
+        if graph.edge_count < target_edges and rng.random() < RANDOM_RECIPROCITY:
             graph.add_edge(second, first)
     return graph
 
@@ -62,11 +61,10 @@ def hub_and_cluster_digraph(
     nodes: Sequence,
     rng: random.Random,
     hub_count: int = 2,
-    peripheral_density: float = 0.5,
-    reciprocity: float = 0.85,
 ) -> SocialDigraph:
     """Fig. 4a-shaped graph: ``hub_count`` centers adjacent to everyone,
-    peripheral nodes wired at ``peripheral_density`` among themselves."""
+    peripheral nodes wired at ``PERIPHERAL_DENSITY`` among themselves,
+    each follow reciprocated with probability ``CLUSTER_RECIPROCITY``."""
     node_list = list(nodes)
     if hub_count >= len(node_list):
         raise ValueError("hub_count must be smaller than the population")
@@ -83,10 +81,10 @@ def hub_and_cluster_digraph(
             graph.add_edge(other, hub)
     for i, a in enumerate(periphery):
         for b in periphery[i + 1 :]:
-            if rng.random() < peripheral_density:
+            if rng.random() < PERIPHERAL_DENSITY:
                 first, second = (a, b) if rng.random() < 0.5 else (b, a)
                 graph.add_edge(first, second)
-                if rng.random() < reciprocity:
+                if rng.random() < CLUSTER_RECIPROCITY:
                     graph.add_edge(second, first)
     return graph
 
@@ -137,17 +135,16 @@ def degree_bounded_digraph(
     return graph
 
 
-def powerlaw_cluster_digraph(
-    nodes: Sequence,
-    rng: random.Random,
-    cluster_size: int = 8,
-    intra_density: float = 0.6,
-    hub_fraction: float = 0.01,
-    min_hubs: int = 2,
-    hub_follows: int = 2,
-    hub_skew: float = 1.2,
-    reciprocity: float = 0.85,
-) -> SocialDigraph:
+#: ``powerlaw_cluster_digraph``'s shape (see its docstring).
+CLUSTER_SIZE = 8
+INTRA_DENSITY = 0.6
+HUB_FRACTION = 0.01
+MIN_HUBS = 2
+HUB_FOLLOWS = 2
+HUB_SKEW = 1.2
+
+
+def powerlaw_cluster_digraph(nodes: Sequence, rng: random.Random) -> SocialDigraph:
     """Fig. 4a's *shape* at a density that survives large N.
 
     Keeps the two ingredients the paper's graph exhibits — a few highly
@@ -155,26 +152,24 @@ def powerlaw_cluster_digraph(
     friendships — but bounds the expected peripheral degree by a
     constant instead of wiring the whole periphery at a fixed density:
 
-    * hubs (``max(min_hubs, hub_fraction * N)``, mutually adjacent, as
+    * hubs (``max(MIN_HUBS, HUB_FRACTION * N)``, mutually adjacent, as
       the Fig. 4a centers 6/7 are) attract follows with Zipf-weighted
-      popularity (``1 / rank^hub_skew``), so hub in-degree follows a
+      popularity (``1 / rank^HUB_SKEW``), so hub in-degree follows a
       power law in hub rank;
     * the periphery is partitioned into friend clusters of
-      ``cluster_size``, wired internally at ``intra_density`` with
-      ``reciprocity``-probable back-edges — expected peripheral degree
-      ≈ ``intra_density * (cluster_size - 1) * (1 + reciprocity) / 2 +
-      hub_follows``, independent of N;
-    * every peripheral node follows ``hub_follows`` distinct hubs, which
+      ``CLUSTER_SIZE``, wired internally at ``INTRA_DENSITY`` with
+      ``CLUSTER_RECIPROCITY``-probable back-edges — expected peripheral
+      degree ≈ ``INTRA_DENSITY * (CLUSTER_SIZE - 1) *
+      (1 + CLUSTER_RECIPROCITY) / 2 + HUB_FOLLOWS``, independent of N;
+    * every peripheral node follows ``HUB_FOLLOWS`` distinct hubs, which
       (with the mutually wired hub core) keeps the graph weakly
       connected at any N.
     """
     node_list = list(nodes)
     n = len(node_list)
-    hub_count = max(min_hubs, round(hub_fraction * n))
+    hub_count = max(MIN_HUBS, round(HUB_FRACTION * n))
     if hub_count >= n:
         raise ValueError("hub count must be smaller than the population")
-    if cluster_size < 2:
-        raise ValueError(f"cluster_size must be at least 2, got {cluster_size}")
     graph = SocialDigraph()
     for node in node_list:
         graph.add_node(node)
@@ -185,21 +180,21 @@ def powerlaw_cluster_digraph(
             graph.add_edge(hub, other)
             graph.add_edge(other, hub)
     # Peripheral friend clusters (consecutive slices keep it O(N)).
-    for start in range(0, len(periphery), cluster_size):
-        cluster = periphery[start : start + cluster_size]
+    for start in range(0, len(periphery), CLUSTER_SIZE):
+        cluster = periphery[start : start + CLUSTER_SIZE]
         for i, a in enumerate(cluster):
             for b in cluster[i + 1 :]:
-                if rng.random() < intra_density:
+                if rng.random() < INTRA_DENSITY:
                     first, second = (a, b) if rng.random() < 0.5 else (b, a)
                     graph.add_edge(first, second)
-                    if rng.random() < reciprocity:
+                    if rng.random() < CLUSTER_RECIPROCITY:
                         graph.add_edge(second, first)
     # Zipf-weighted hub attachment.
-    follows_per_node = min(hub_follows, hub_count)
+    follows_per_node = min(HUB_FOLLOWS, hub_count)
     for a in periphery:
         available: List[int] = list(range(hub_count))
         for _ in range(follows_per_node):
-            weights = [1.0 / (rank + 1) ** hub_skew for rank in available]
+            weights = [1.0 / (rank + 1) ** HUB_SKEW for rank in available]
             pick = rng.random() * sum(weights)
             acc = 0.0
             chosen = available[-1]
@@ -211,7 +206,7 @@ def powerlaw_cluster_digraph(
             available.remove(chosen)
             hub = hubs[chosen]
             graph.add_edge(a, hub)
-            if rng.random() < reciprocity:
+            if rng.random() < CLUSTER_RECIPROCITY:
                 graph.add_edge(hub, a)
     return graph
 
@@ -219,8 +214,9 @@ def powerlaw_cluster_digraph(
 def resolve_social_graph_kind(kind: str, num_users: int) -> str:
     """Resolve ``"auto"`` to the concrete generator for this population.
 
-    The single validation point for the knob: unknown kinds and the
-    figure4a/num_users constraint are rejected here, so config
+    The single validation point for the knob: unknown kinds, the
+    figure4a/num_users constraint and populations too small for the hub
+    generators are rejected here, so config
     construction (``ScenarioConfig``) and graph building
     (:func:`make_social_graph`) cannot drift apart.
     """
@@ -229,11 +225,16 @@ def resolve_social_graph_kind(kind: str, num_users: int) -> str:
             f"social_graph must be one of {SOCIAL_GRAPH_KINDS}, got {kind!r}"
         )
     if kind == "auto":
-        return "figure4a" if num_users == 10 else "hub_and_cluster"
+        kind = "figure4a" if num_users == 10 else "hub_and_cluster"
     if kind == "figure4a" and num_users != 10:
         raise ValueError(
             f"social_graph 'figure4a' is the exact 10-node reconstruction; "
             f"it cannot be used with num_users={num_users}"
+        )
+    if kind in ("hub_and_cluster", "powerlaw_cluster") and num_users < 3:
+        raise ValueError(
+            f"social_graph {kind!r} needs two hubs and a follower: at least "
+            f"3 users, got num_users={num_users}"
         )
     return kind
 

@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.geo.point import Point
 from repro.net.contact import pair_key
-from repro.net.medium import Medium
+from repro.net.medium import HYSTERESIS, Medium
 from repro.net.radio import RadioProfile, best_common_radio
 
 
@@ -126,7 +126,7 @@ class PerDeviceMedium(Medium):
 
         desired: Dict[Tuple[str, str], RadioProfile] = {}
         seen: Set[Tuple[str, str]] = set()
-        sweep = self._max_range * self.hysteresis
+        sweep = self._max_range * HYSTERESIS
         for device_id, device in devices.items():
             if not device.powered_on:
                 continue
@@ -152,7 +152,7 @@ class PerDeviceMedium(Medium):
                 if active is not None:
                     # An existing link survives out to the hysteresis
                     # margin of the radio it was *raised* on.
-                    limit = active.range_m * self.hysteresis
+                    limit = active.range_m * HYSTERESIS
                     if d2 <= limit * limit:
                         desired[key] = active
                 elif d2 <= radio.range_m * radio.range_m:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.adhoc import RECONNECT_BACKOFF_S
 from repro.core.config import SosConfig
 from repro.core.errors import SecurityError
 from repro.core.wire import SosPacket
@@ -58,7 +59,7 @@ class TestAdhocState:
         bob.sos.adhoc._security_failure(alice.user_id, "test-injected")
         assert bob.sos.adhoc.connect(alice.user_id) is False
         # After the backoff expires the peer is reachable again.
-        world.run(world.sim.now + bob.sos.config.reconnect_backoff + 60.0)
+        world.run(world.sim.now + RECONNECT_BACKOFF_S + 60.0)
         # peer must be rediscovered by then (link is still up; state kept)
         assert bob.sos.adhoc._blacklist_until[alice.user_id] <= world.sim.now
 
@@ -151,18 +152,18 @@ class TestMessageManagerDetails:
 
 class TestAdvertisementBudget:
     def test_advertisement_respects_limit(self, world):
-        config = SosConfig(advertisement_limit=2, relay_request_grace=0.0,
-                           routing_protocol="epidemic")
+        config = SosConfig(relay_request_grace=0.0, routing_protocol="epidemic")
         alice = world.add_user("alice", config=config)
         world.start()
-        # Three authors in the store; only 2 may be advertised.
+        # 70 other authors plus alice's own post: only the 64 freshest
+        # (highest message numbers) are advertised.
         from repro.storage.messagestore import StoredMessage
 
-        for i, author in enumerate(["u111111111", "u222222222"]):
+        for i in range(70):
             alice.sos.store.add(StoredMessage(
-                author_id=author, number=5 + i, created_at=0.0, body=b"x",
+                author_id=f"u{i:09d}", number=10 + i, created_at=0.0, body=b"x",
                 signature=b"s", author_cert=b"c", hops=1, received_at=0.0,
             ))
         alice.post("own")
         advert = alice.sos.adhoc.advertiser.discovery_info
-        assert len(advert) <= 2
+        assert sorted(advert) == [f"u{i:09d}" for i in range(6, 70)]

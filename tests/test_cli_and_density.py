@@ -72,9 +72,14 @@ class TestCli:
         ]) == 0
         assert "density_directed" in capsys.readouterr().out
 
-    def test_unknown_protocol_surfaces(self):
-        with pytest.raises(KeyError):
-            main(["study", "--days", "1", "--posts", "5", "--protocol", "warp"])
+    def test_unknown_protocol_surfaces(self, capsys):
+        for argv in (["study", "--protocol", "warp"], ["compare", "--only", "interest,warp"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert f"repro {argv[0]}: error:" in err
+            assert "unknown routing protocol 'warp'; available: bubble, direct," in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -84,8 +89,16 @@ class TestCli:
             (["density", "--workers", "0"], "at least 1"),
             (["density", "--populations", "10,x"], "--populations"),
             (["density", "--populations", "1"], "need at least two users"),
+            (["study", "--users", "2"], "at least 3 users"),
+            (["graph-stats", "--users", "1"], "at least 3 users"),
+            (["graph-stats", "--users", "0"], "at least 3 users"),
+            (["graph-stats", "--social-graph", "figure4a", "--users", "12"], "figure4a"),
         ],
-        ids=["users", "faults", "workers", "populations", "population-below-two"],
+        ids=[
+            "users", "faults", "workers", "populations", "population-below-two",
+            "two-users-no-hub-follower", "graph-stats-one-user", "graph-stats-no-users",
+            "graph-stats-figure4a-population",
+        ],
     )
     def test_rejected_value_is_a_usage_error(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -86,6 +86,44 @@ class TestGainesvilleStudy:
         with pytest.raises(ValueError):
             ScenarioConfig(duration_days=0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"area": (float("nan"), 8_000.0)},
+            {"area": (11_000.0, float("inf"))},
+            {"area": (0.0, 8_000.0)},
+            {"area": (11_000.0, -8_000.0)},
+            {"medium_tick_s": float("nan")},
+            {"medium_tick_s": float("inf")},
+            {"meetups_per_day": float("nan")},
+            {"meetups_per_day": -3.0},
+            {"relay_request_grace": float("nan")},
+            {"routing_protocol": "warp"},
+        ],
+        ids=[
+            "area-nan", "area-inf", "area-zero", "area-negative", "tick-nan",
+            "tick-inf", "meetups-nan", "meetups-negative", "grace-nan", "protocol",
+        ],
+    )
+    def test_bad_axis_rejected_when_the_config_is_built(self, overrides):
+        # Accepted, each would fail mid-build, hang, or run a study with
+        # no contacts or with NaN-timed deferrals.
+        with pytest.raises(ValueError):
+            ScenarioConfig(**overrides)
+
+    def test_zero_meetups_is_valid(self):
+        assert ScenarioConfig(meetups_per_day=0).meetups_per_day == 0
+
+    @pytest.mark.parametrize("side", [1_000.0, 500.0])
+    def test_area_without_room_for_homes_rejected(self, side):
+        # Homes keep 750 m from the campus; at the default seed no point
+        # of these squares does, so home placement cannot finish.
+        study = GainesvilleStudy(
+            ScenarioConfig(area=(side, side), duration_days=1, total_posts=0)
+        )
+        with pytest.raises(ValueError, match="no room for homes"):
+            study.build()
+
 
 class TestProtocolComparison:
     def test_compares_protocols_on_identical_world(self):

@@ -164,6 +164,13 @@ class TestSyntheticCity:
         for home in city.homes:
             assert home.location.distance_to(city.campus.location) > 400 * 1.5
 
+    @pytest.mark.parametrize("side", [500.0, float("nan")], ids=["small", "nan"])
+    def test_region_inside_the_campus_core_rejected(self, side):
+        # No point lies beyond 1.5 campus radii of the campus, so home
+        # placement has nowhere to go.
+        with pytest.raises(ValueError, match="no room for homes"):
+            SyntheticCity.gainesville_like(Region(0, 0, side, 500.0), random.Random(24))
+
     def test_all_places_inside_region(self):
         region = Region(0, 0, 11000, 8000)
         city = SyntheticCity.gainesville_like(region, random.Random(22))

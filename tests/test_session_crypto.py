@@ -248,7 +248,9 @@ class TestAdhocIntegration:
         assert snap["session_keys_accepted"] >= 1
 
     def test_rekey_under_traffic_end_to_end(self, world):
-        alice, bob = self._secured_pair(world, session_rekey_packets=2)
+        alice, bob = self._secured_pair(world)
+        # A two-packet budget on alice's live channel to bob.
+        alice.sos.adhoc._peers[bob.user_id].channel.rekey_packets = 2
         for i in range(6):
             alice.post(f"burst {i}")
         world.run(world.sim.now + 300.0)

@@ -15,14 +15,15 @@ class TestScheduling:
         sim.run()
         assert order == ["a", "b", "c"]
 
-    def test_ties_broken_by_priority_then_insertion(self):
+    def test_ties_broken_by_insertion_order(self):
         sim = Simulator()
         order = []
-        sim.schedule_at(1.0, lambda: order.append("late"), priority=5)
-        sim.schedule_at(1.0, lambda: order.append("first"), priority=0)
-        sim.schedule_at(1.0, lambda: order.append("second"), priority=0)
+        sim.schedule_at(1.0, lambda: order.append("first"))
+        sim.schedule_at(1.0, lambda: order.append("second"))
+        sim.schedule_at(0.5, lambda: order.append("earlier"))
+        sim.schedule_at(1.0, lambda: order.append("third"))
         sim.run()
-        assert order == ["first", "second", "late"]
+        assert order == ["earlier", "first", "second", "third"]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
@@ -49,6 +50,20 @@ class TestScheduling:
         sim = Simulator()
         with pytest.raises(SimulationError):
             sim.schedule_in(-1.0, lambda: None)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_time_or_delay_raises(self, bad):
+        # Accepted, a NaN time would run ahead of earlier events and set
+        # the clock to NaN; no caller schedules at infinity.
+        sim = Simulator()
+        ran = []
+        sim.schedule_at(1.0, lambda: ran.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: ran.append(sim.now))
+        with pytest.raises(SimulationError):
+            sim.schedule_in(bad, lambda: ran.append(sim.now))
+        sim.run()
+        assert ran == [1.0]
 
     def test_args_are_passed(self):
         sim = Simulator()
@@ -83,8 +98,8 @@ class TestCancellation:
 
 
 class TestOrderThroughCompaction:
-    """Equal ``(time, priority)`` keys run first-in first-out, however
-    cancellations and heap compactions interleave with the scheduling."""
+    """Equal times run first-in first-out, however cancellations and
+    heap compactions interleave with the scheduling."""
 
     def _world(self):
         sim = Simulator()
@@ -99,40 +114,38 @@ class TestOrderThroughCompaction:
         sim._compact = counted_compact
         fired = []
         owner = object()
-        live = []  # [time, priority, insertion index, tagged, event] of survivors
+        live = []  # [time, insertion index, tagged, event] of survivors
         for index in range(240):
-            time = (5.0, 7.0)[index % 2]
-            priority = 0 if index % 4 < 2 else index % 3  # equal keys, mixed
+            time = (5.0, 7.0, 5.0, 6.0)[index % 4]  # equal times, mixed
             tagged = index % 5 < 3
             event = sim.schedule_at(
-                time, fired.append, index, priority=priority,
-                owner=owner if tagged else None,
+                time, fired.append, index, owner=owner if tagged else None
             )
-            live.append([time, priority, index, tagged, event])
+            live.append([time, index, tagged, event])
             if index % 3:  # cancel an earlier event, interleaved
                 victim = live.pop(len(live) // 2)
-                victim[4].cancel()
+                victim[3].cancel()
         return sim, fired, owner, live, compactions
 
-    def test_fifo_within_priority(self):
+    def test_fifo_within_equal_times(self):
         sim, fired, _, live, compactions = self._world()
         assert len(compactions) >= 2
         assert sim.pending_events == len(live)
         sim.run()
-        assert fired == [index for _, _, index, _, _ in sorted(live)]
+        assert fired == [index for _, index, _, _ in sorted(live)]
 
     def test_cancel_owned_and_pending_events_count(self):
         sim, fired, owner, live, compactions = self._world()
-        tagged = [entry for entry in live if entry[3]]
+        tagged = [entry for entry in live if entry[2]]
         assert tagged
         before = len(compactions)
         assert sim.cancel_owned(owner) == len(tagged)
         assert len(compactions) > before  # cancel_owned itself compacted
         assert sim.cancel_owned(owner) == 0
-        survivors = [entry for entry in live if not entry[3]]
+        survivors = [entry for entry in live if not entry[2]]
         assert sim.pending_events == len(survivors)
         assert sim.run() == len(survivors)
-        assert fired == [index for _, _, index, _, _ in sorted(survivors)]
+        assert fired == [index for _, index, _, _ in sorted(survivors)]
         assert sim.pending_events == 0
 
 

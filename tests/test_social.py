@@ -489,6 +489,13 @@ class TestSocialGraphFactory:
         with pytest.raises(ValueError):
             make_social_graph("figure4a", 12, random.Random(1))
 
+    def test_hub_families_need_a_follower_beyond_two_hubs(self):
+        for kind in ("auto", "hub_and_cluster", "powerlaw_cluster"):
+            with pytest.raises(ValueError, match="at least 3 users"):
+                resolve_social_graph_kind(kind, 2)
+            assert make_social_graph(kind, 3, random.Random(1)).node_count == 3
+        assert make_social_graph("degree_bounded", 2, random.Random(1)).edge_count == 2
+
     def test_factory_builds_each_family(self):
         rng = random.Random(2)
         assert make_social_graph("auto", 10, rng).edge_count == 58
