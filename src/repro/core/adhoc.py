@@ -20,7 +20,11 @@ Security properties enforced here:
   - **session** (default): after the certificate exchange, a per-link
     :class:`~repro.crypto.session.SecureChannel` pays RSA once per
     sending direction and protects every packet with ChaCha20 +
-    HMAC-SHA256 under hkdf-derived directional keys (frames ``K``/``S``),
+    HMAC-SHA256 under hkdf-derived directional keys (frames ``K``/``S``).
+    A reconnect resumes from the master the peer acknowledged holding
+    (frame ``R``) and pays no RSA while that master is under an hour
+    old; one :class:`~repro.crypto.session.SessionKeyStore` per device
+    keeps the masters and the anti-replay record across channels,
   - **legacy** (the reference oracle): every packet is individually
     signed by the sending peer and encrypted end-to-end to the receiving
     peer's public key (hybrid RSA+ChaCha20, frame ``E``).
@@ -36,7 +40,6 @@ Security properties enforced here:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, Optional
 
@@ -49,8 +52,10 @@ from repro.crypto.rsa import hybrid_decrypt, hybrid_encrypt
 from repro.crypto.session import (
     DATA_FRAME,
     KEY_FRAME,
+    RESUME_FRAME,
     SecureChannel,
     SessionCryptoError,
+    SessionKeyStore,
 )
 from repro.mpc.advertiser import AdvertiserDelegate, Invitation, ServiceAdvertiser
 from repro.mpc.browser import BrowserDelegate, ServiceBrowser
@@ -66,6 +71,12 @@ from repro.sim.process import Timer
 CERTIFICATE_EXCHANGE_TIMEOUT_S = 20.0
 #: Seconds to ignore a peer after a failed security handshake.
 RECONNECT_BACKOFF_S = 300.0
+#: Manager stats folded in from each channel's counters.
+_CHANNEL_COUNTERS = (
+    ("session_keys_established", "keys_established"),
+    ("session_keys_resumed", "keys_resumed"),
+    ("session_keys_accepted", "keys_accepted"),
+)
 
 
 @dataclass
@@ -110,11 +121,12 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
         self.browser = ServiceBrowser(framework, self.peer_id, config.service_type, delegate=self)
         self._peers: Dict[str, _PeerState] = {}
         self._blacklist_until: Dict[str, float] = {}
-        #: Session-key fingerprints accepted over this manager's lifetime
-        #: (bounded LRU, see session.SEEN_KEY_LIMIT), shared across
-        #: channels so a recorded handshake cannot be replayed at us after
-        #: a disconnect/reconnect cycle.
-        self._seen_session_keys: "OrderedDict[bytes, None]" = OrderedDict()
+        #: The session masters this device holds for its peers (the
+        #: anti-replay record, bounded by session.SEEN_KEY_LIMIT) and the
+        #: ones it established with them, shared across channels so a
+        #: reconnect can resume and a recorded handshake or resume frame
+        #: cannot be replayed at us after a disconnect/reconnect cycle.
+        self._session_keys = SessionKeyStore()
         # Upward callbacks, wired by the message manager.
         self.on_peer_discovered: Callable[[str, Dict[str, int]], None] = lambda u, a: None
         self.on_peer_lost: Callable[[str], None] = lambda u: None
@@ -128,6 +140,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
             "security_failures": 0,
             "connections_secured": 0,
             "session_keys_established": 0,
+            "session_keys_resumed": 0,
             "session_keys_accepted": 0,
         }
 
@@ -145,17 +158,21 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
         """Abrupt device loss: volatile peer state dies, durable security
         state survives.
 
-        Peer records, secure channels and certificate-exchange timers are
-        RAM — gone.  The keystore (disk) and the anti-replay record of
-        seen session-key fingerprints plus the blacklist survive, which is
-        what lets the manager reject a replayed handshake recorded before
-        the crash (the security property the chaos tests assert)."""
+        Peer records, secure channels, certificate-exchange timers and the
+        masters this device could resume with are RAM — gone, so the
+        first key to each peer after a reboot pays RSA.  The keystore
+        (disk), the blacklist and the session masters held for peers —
+        each with its fingerprint and highest resume counter — survive,
+        which is what lets the manager reject a handshake or resume frame
+        recorded before the crash (the security property the chaos tests
+        assert)."""
         for state in self._peers.values():
             if state.cert_timer is not None:
                 state.cert_timer.cancel()
                 state.cert_timer = None
             self._drop_channel(state)
         self._peers.clear()
+        self._session_keys.sent.clear()
         self.advertiser.stop()
         self.browser.stop()
         self.session.disconnect()
@@ -354,7 +371,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
                 private_key=self.keystore.private_key,
                 peer_public_key=peer_cert.public_key,
                 rng=self._rng,
-                seen_key_fingerprints=self._seen_session_keys,
+                keys=self._session_keys,
             )
         return state.channel
 
@@ -362,8 +379,8 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
         """Tear down the secure session with the connection; the stats it
         accumulated survive in the manager's counters."""
         if state.channel is not None:
-            self.stats["session_keys_established"] += state.channel.stats["keys_established"]
-            self.stats["session_keys_accepted"] += state.channel.stats["keys_accepted"]
+            for ours, its in _CHANNEL_COUNTERS:
+                self.stats[ours] += state.channel.stats[its]
             state.channel = None
 
     def _send_plain(self, peer: PeerID, packet: SosPacket) -> None:
@@ -390,7 +407,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
             if packet.kind is not PacketKind.CERT:
                 if self.config.require_encryption:
                     raise SecurityError("plaintext payload with encryption required")
-        elif marker in (KEY_FRAME, DATA_FRAME):
+        elif marker in (KEY_FRAME, DATA_FRAME, RESUME_FRAME):
             if not self.config.session_crypto:
                 raise SecurityError("session frame but session crypto is disabled")
             state = self._peers.get(from_user)
@@ -443,8 +460,8 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
         out = dict(self.stats)
         for state in self._peers.values():
             if state.channel is not None:
-                out["session_keys_established"] += state.channel.stats["keys_established"]
-                out["session_keys_accepted"] += state.channel.stats["keys_accepted"]
+                for ours, its in _CHANNEL_COUNTERS:
+                    out[ours] += state.channel.stats[its]
         return out
 
     # -- failures ------------------------------------------------------------------------

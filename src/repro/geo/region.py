@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -21,7 +22,9 @@ class Region:
     y1: float
 
     def __post_init__(self) -> None:
-        if self.x1 <= self.x0 or self.y1 <= self.y0:
+        finite = all(math.isfinite(b) for b in (self.x0, self.y0, self.x1, self.y1))
+        # Test for the good case: NaN compares false both ways.
+        if not (finite and self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError(f"degenerate region {self!r}")
 
     @property

@@ -12,9 +12,9 @@ through a quiet period.  The convergence contract (ISSUE 7):
 * the cloud applied each action exactly once, in order (no duplicates,
   no gaps, despite at-least-once replays against a truncating backend),
 * a fixed (sim seed, fault seed) pair reproduces the run byte-for-byte,
-* anti-replay holds across crash/reconnect: a recorded handshake frame
-  replayed after the victim crashes and reboots is rejected as a
-  security diagnostic, never accepted and never a crash.
+* anti-replay holds across crash/reconnect: a recorded handshake or
+  resume frame replayed after the victim crashes and reboots is rejected
+  as a security diagnostic, never accepted and never a crash.
 """
 
 import pytest
@@ -120,8 +120,9 @@ class TestAntiReplayAcrossCrash:
         self, ca, keypair_pool
     ):
         """Crash wipes every secure channel but *not* the anti-replay
-        fingerprint record; a handshake frame recorded before the crash
-        must be rejected after reboot + re-handshake."""
+        record of held masters and their resume counters; a handshake or
+        resume frame recorded before the crash must be rejected after
+        reboot + re-handshake."""
         world = World(ca, keypair_pool, seed=17)
         config = SosConfig(relay_request_grace=0.0)
         alice = world.add_user("alice", position=Point(100, 100), config=config)
@@ -131,19 +132,28 @@ class TestAntiReplayAcrossCrash:
         recorded = []
 
         def tap(pair, data):
-            if data[:1] == b"K":
+            if data[:1] in (b"K", b"R"):
                 recorded.append(bytes(data))
             return data
 
         world.framework.frame_fault = tap
         world.start()
         alice.post("first session")
+        world.run(60.0)
+        alice.post("first session, again")  # the data frames ack both keys
         world.run(120.0)
+        world.medium.force_drop("dev-alice", "dev-bob")  # a flap: the reconnect resumes
+        world.run(200.0)
+        alice.post("resumed session")
+        world.run(300.0)
         assert bob.sos.adhoc.is_secured(alice.user_id)
-        assert recorded, "no handshake frames crossed the link"
+        resumes = [frame for frame in recorded if frame[:1] == b"R"]
+        handshakes = [frame for frame in recorded if frame[:1] == b"K"]
+        assert resumes, "no resume frames crossed the link"
+        assert handshakes, "no handshake frames crossed the link"
         world.framework.frame_fault = None
 
-        # Crash bob mid-life; the channels die, the fingerprints persist.
+        # Crash bob mid-life; the channels die, the held masters persist.
         device = world.devices["bob"]
         world.medium.drop_links_of(device.device_id)
         device.power_off()
@@ -155,11 +165,18 @@ class TestAntiReplayAcrossCrash:
         world.run(world.sim.now + 300.0)
         assert bob.sos.adhoc.is_secured(alice.user_id)  # fresh handshake
 
+        # The tap saw both directions; replay alice's resumes (of masters
+        # bob holds) first, while bob's re-handshaken channel is live.
+        held = bob.sos.adhoc._session_keys.held
+        resumes.sort(key=lambda frame: frame[1:33] not in held)
+        assert resumes[0][1:33] in held
         failures_before = bob.sos.adhoc.stats["security_failures"]
-        for frame in recorded:
-            # Every recorded frame must bounce: replayed session keys from
-            # the first session, or frames signed by the wrong side — all
-            # security diagnostics, never an accepted key, never a crash.
+        events_before = len(world.sim.trace)
+        for frame in resumes + handshakes:
+            # Every recorded frame must bounce: replayed resume counters and
+            # session keys from before the crash, or frames signed by the
+            # wrong side — all security diagnostics, never an accepted key,
+            # never a crash.
             bob.sos.adhoc.session_received_data(
                 bob.sos.adhoc.session, frame,
                 PeerID(alice.user_id, world.devices["alice"].device_id),
@@ -167,4 +184,11 @@ class TestAntiReplayAcrossCrash:
         assert (
             bob.sos.adhoc.stats["security_failures"]
             == failures_before + len(recorded)
+        )
+        # The first replay met the live re-handshaken channel, which
+        # refused it on the durable counter, not for lack of a session.
+        first = list(world.sim.trace)[events_before]
+        assert (first.category, first.kind) == ("security", "failure")
+        assert first.data["reason"].startswith(
+            "session decryption failed: replayed resume frame"
         )

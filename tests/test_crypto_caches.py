@@ -119,4 +119,6 @@ class TestSharingAcrossDevices:
         chunks = _keystream_chunk.cache_info()
         verifications = _pkcs1_v15_verify.cache_info()
         assert (chunks.hits, chunks.misses) == (86, 86)
-        assert (verifications.hits, verifications.misses) == (345, 129)
+        # 9 of the miniature's 86 session keys resume and verify no
+        # key-transport signature (129 misses without resumption).
+        assert (verifications.hits, verifications.misses) == (345, 120)

@@ -441,21 +441,24 @@ class TestCrashReboot:
         bob.follow_many([])  # no-op; keeps the log purely organic
         log_before = list(bob.actions)
         acked_before = bob.sync_queue.acked_seq
-        seen_before = bob.sos.adhoc._seen_session_keys
-        assert len(seen_before) >= 1
+        keys = bob.sos.adhoc._session_keys
+        held_before = dict(keys.held)
+        assert len(held_before) >= 1 and keys.sent
         bob.crash()
         # Volatile: the feed, the notifications, every secure channel.
         assert bob.timeline() == []
         assert bob.notifications == []
         assert bob.sos.adhoc._peers == {}
         assert not bob.sos.adhoc.is_secured(alice.user_id)
+        # ...and the masters bob could resume with, so his next key pays RSA.
+        assert keys.sent == {}
         # Durable: the action log, the acked prefix, the keystore and the
-        # anti-replay fingerprint record (the same object, not a copy).
+        # anti-replay record of held masters (the same records, not copies).
         assert list(bob.actions) == log_before
         assert bob.sync_queue.acked_seq == acked_before
         assert bob.sos.adhoc.keystore.private_key is not None
-        assert bob.sos.adhoc._seen_session_keys is seen_before
-        assert len(seen_before) >= 1
+        assert bob.sos.adhoc._session_keys is keys
+        assert keys.held == held_before
 
     def test_reboot_resecures_and_new_posts_flow(self, world):
         alice, bob = self._secured_pair(world)

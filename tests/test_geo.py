@@ -65,6 +65,29 @@ class TestRegion:
         with pytest.raises(ValueError):
             Region(0, 0, 0, 10)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (0, 0, float("nan"), 500),
+            (float("nan"), 0, 500, 500),
+            (0, float("nan"), 500, 500),
+            (0, 0, 500, float("nan")),
+            (0, 0, float("inf"), 500),
+            (float("-inf"), 0, 500, 500),
+            (0, 0, 500, float("inf")),
+            (0, float("-inf"), 500, 500),
+        ],
+        ids=["nan-x1", "nan-x0", "nan-y0", "nan-y1", "inf-x1", "-inf-x0", "inf-y1", "-inf-y0"],
+    )
+    def test_non_finite_bounds_rejected(self, bounds):
+        """NaN compares false both ways, so ``x1 <= x0`` alone let it
+        through and ``random_point`` then drew NaN coordinates.  The
+        ``nan-x1`` case is the NaN study area that used to reach
+        ``SyntheticCity.gainesville_like`` and fail there as "no room for
+        homes"."""
+        with pytest.raises(ValueError, match="degenerate region"):
+            Region(*bounds)
+
     def test_subregion(self):
         r = Region(0, 0, 100, 100)
         q = r.subregion(0, 0, 0.5, 0.5)

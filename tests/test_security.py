@@ -154,12 +154,25 @@ class TestEncryptionPreference:
         alice.sos.adhoc.session.send = tap
         world.start()
         alice.post("secret text")
+        world.run(60.0)
+        alice.post("secret text, again")  # the data frames ack both keys
         world.run(120.0)
-        encrypted = [f for f in captured if f[:1] in (b"E", b"K", b"S")]
+        world.medium.force_drop("dev-alice", "dev-bob")  # a flap: the reconnect resumes
+        world.run(200.0)
+        alice.post("secret text, resumed")
+        world.run(300.0)
+        encrypted = [f for f in captured if f[:1] in (b"E", b"K", b"R", b"S")]
         assert encrypted, "expected at least one encrypted frame"
         from repro.crypto.rsa import hybrid_decrypt
+        from repro.crypto.session import SecureChannel, SessionCryptoError
 
         eve_key = eve.sos.adhoc.keystore.private_key
+        # Eve posing as bob, with every session key she holds.
+        eve_as_bob = SecureChannel(
+            bob.user_id, alice.user_id, eve_key,
+            alice.sos.adhoc.keystore.own_certificate.public_key,
+            HmacDrbg.from_int(666), keys=eve.sos.adhoc._session_keys,
+        )
         for frame in encrypted:
             if frame[:1] == b"E":
                 with pytest.raises(ValueError):
@@ -171,9 +184,16 @@ class TestEncryptionPreference:
                 wrapped_master = frame[3 : 3 + wrap_len]
                 with pytest.raises(ValueError):
                     eve_key.decrypt(wrapped_master)
-        assert any(f[:1] == b"K" for f in encrypted) or any(
-            f[:1] == b"E" for f in encrypted
-        )
+            elif frame[:1] == b"R":
+                # A resume frame carries no key material, only the name of
+                # a master bob holds: eve cannot derive its key.
+                with pytest.raises(SessionCryptoError):
+                    eve_as_bob.decrypt(frame, now=world.sim.now)
+        if world.session_crypto:
+            assert any(f[:1] == b"K" for f in encrypted)
+            assert any(f[:1] == b"R" for f in encrypted)
+        else:
+            assert any(f[:1] == b"E" for f in encrypted)
         # The plaintext never appears on the wire in either mode.
         assert all(b"secret text" not in frame for frame in captured)
 

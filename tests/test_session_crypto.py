@@ -16,6 +16,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.session import (
     SecureChannel,
     SessionCryptoError,
+    SessionKeyStore,
     legacy_frame_len,
 )
 from repro.geo.point import Point
@@ -162,17 +163,15 @@ class TestChannelProtocol:
 
     def test_key_replay_rejected_across_channel_teardown(self, keypair_pool):
         """A recorded handshake must not replay into a *fresh* channel:
-        the fingerprint set can outlive the channel (the ad hoc manager
-        shares one across reconnects)."""
-        from collections import OrderedDict
-
+        the key store can outlive the channel (the ad hoc manager keeps
+        one per device across reconnects)."""
         alice_keys, bob_keys = keypair_pool[0], keypair_pool[1]
-        seen = OrderedDict()
+        store = SessionKeyStore()
 
         def bob_channel():
             return SecureChannel(
                 "bob", "alice", bob_keys.private, alice_keys.public,
-                HmacDrbg.from_int(11), seen_key_fingerprints=seen,
+                HmacDrbg.from_int(11), keys=store,
             )
 
         alice = SecureChannel(
@@ -193,7 +192,7 @@ class TestChannelProtocol:
         alice, bob = channel_pair(rekey_packets=1)  # every packet rekeys
         for i in range(8):
             assert bob.decrypt(alice.encrypt(b"m%d" % i, now=0.0), now=0.0) == b"m%d" % i
-        assert len(bob._seen_wrapped) <= 3
+        assert len(bob.keys.held) <= 3
 
 
 class TestRekeyBoundaries:
@@ -284,12 +283,20 @@ class TestAdhocIntegration:
         assert sorted(e.post.text for e in bob.timeline()) == ["first", "second"]
         second_channel = alice.sos.adhoc._peers[bob.user_id].channel
         assert second_channel is not None and second_channel is not first_channel
-        # Key counters from the first channel survived into the manager.
-        assert alice.sos.security_stats["session_keys_established"] >= 2
-        # The anti-replay fingerprint set spans both connections, so a
-        # recorded first-session handshake cannot replay into the second.
-        assert len(alice.sos.adhoc._seen_session_keys) >= 2
-        assert second_channel._seen_wrapped is alice.sos.adhoc._seen_session_keys
+        # Each side sent one K frame per connection and no data frame, so
+        # neither master was acknowledged and the reconnect paid RSA again;
+        # the first channel's counters survived into the manager.
+        stats = alice.sos.security_stats
+        assert stats["session_keys_established"] == 2
+        assert stats["session_keys_resumed"] == 0
+        assert stats["session_keys_accepted"] == 2
+        assert stats["security_failures"] == 0
+        # The anti-replay record spans both connections (bob's two
+        # masters), so a recorded first-session handshake cannot replay
+        # into the second.
+        keys = alice.sos.adhoc._session_keys
+        assert len(keys.held) == 2
+        assert second_channel.keys is keys
 
     def test_cross_mode_frames_rejected(self, world):
         """A legacy node's E frame offered to a session-mode node (or any
