@@ -87,11 +87,10 @@ def test_bench_world_build_speedup(tmp_path):
 
     # One-time pool warm-up of every user's key pair and the CA's: this
     # is the cost repeated sweeps amortise away (reported, not asserted —
-    # it is ordinary eager-rate keygen).  Wall clock, not CPU time: the
-    # generation runs in forked workers.
+    # it is ordinary eager-rate keygen).
     warm_start = time.perf_counter()
     pool = KeypairPool(cache)
-    warmed = pool.prefetch(BUILD_BITS, SEED, range(SCALE_N), workers=2)
+    warmed = pool.prefetch(BUILD_BITS, SEED, range(SCALE_N))
     pool.get(BUILD_BITS, SEED, CA_INDEX)
     warm_s = time.perf_counter() - warm_start
     assert warmed == SCALE_N

@@ -5,7 +5,7 @@ Run from the repo root (``tests/test_docs.py`` does)::
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Three passes, all dependency-free:
+Four passes, all dependency-free:
 
 1. **doctests** — executes the runnable examples embedded in the
    documented module headers (``doctest.testmod`` on the imported
@@ -18,6 +18,9 @@ Three passes, all dependency-free:
    ``scripts/gen_trace_docs.py`` would generate from the registry in
    ``src/repro/analysis/trace_registry.py`` (``repro lint`` closes the
    other half of the loop: registry vs. the emitting code).
+4. **config names** — every ``ScenarioConfig.<name>`` and
+   ``SosConfig.<name>`` the linked docs mention must be a live field or
+   attribute, so a retired knob cannot stay documented.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ LINKED_DOCS = ("README.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md", "docs/TRAC
 
 _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)\)")
 _CODE_PATH = re.compile(r"`((?:src|docs|tests|benchmarks|examples|scripts)/[A-Za-z0-9_./-]+)`")
+_CONFIG_NAME = re.compile(r"\b(ScenarioConfig|SosConfig)\.([A-Za-z_]\w*)")
 
 
 def run_doctests() -> int:
@@ -99,9 +103,39 @@ def check_trace_catalogue(root: Path) -> int:
     return 0
 
 
+def check_config_names(root: Path, docs=LINKED_DOCS) -> int:
+    """Every ``ScenarioConfig.<name>`` / ``SosConfig.<name>`` in ``docs``
+    must name a field or attribute the class still has."""
+    from dataclasses import fields
+
+    from repro.core.config import SosConfig
+    from repro.experiments.scenario import ScenarioConfig
+
+    live = {
+        cls.__name__: {f.name for f in fields(cls)} | set(dir(cls))
+        for cls in (ScenarioConfig, SosConfig)
+    }
+    failures = 0
+    for doc in docs:
+        path = root / doc
+        if not path.is_file():
+            continue  # check_links reports the missing document
+        named = set(_CONFIG_NAME.findall(path.read_text()))
+        stale = sorted(f"{owner}.{name}" for owner, name in named if name not in live[owner])
+        status = "ok" if not stale else "FAILED"
+        print(f"config names {doc}: {len(named)} named, {len(stale)} stale [{status}]")
+        for name in stale:
+            print(f"  stale: {name}")
+        failures += len(stale)
+    return failures
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
-    failures = run_doctests() + check_links(root) + check_trace_catalogue(root)
+    failures = (
+        run_doctests() + check_links(root) + check_trace_catalogue(root)
+        + check_config_names(root)
+    )
     if failures:
         print(f"\n{failures} documentation check(s) failed")
         return 1

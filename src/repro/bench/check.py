@@ -23,6 +23,7 @@ pass — a gate that silently compares nothing is no gate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -116,8 +117,10 @@ def compare_artifacts(
 ) -> CheckReport:
     """Gate ``current`` against ``baseline`` (both validated artifact
     dicts); returns a :class:`CheckReport` whose ``ok`` decides CI."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    # One chained comparison, so NaN (every comparison false) fails too:
+    # a NaN or infinite threshold would let no point ever fail as slow.
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and non-negative, got {threshold}")
     report = CheckReport(threshold=threshold)
     cur_host = current.get("host", {}).get("fingerprint")
     base_host = baseline.get("host", {}).get("fingerprint")

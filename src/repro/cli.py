@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from repro.core.routing.registry import RoutingRegistry
@@ -67,13 +68,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "(default: memory-only)",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes: parallel keypair prefetch for pooled "
-        "provisioning, and parallel sweep points for the density command",
-    )
-    parser.add_argument(
         "--social-graph",
         choices=SOCIAL_GRAPH_KINDS,
         default=None,
@@ -116,8 +110,6 @@ def _config_from(args: argparse.Namespace) -> ScenarioConfig:
         kwargs["provisioning"] = args.provisioning
     if args.key_cache is not None:
         kwargs["key_cache_dir"] = args.key_cache
-    if args.workers != 1:
-        kwargs["provisioning_workers"] = args.workers
     if args.social_graph is not None:
         kwargs["social_graph"] = args.social_graph
     if args.faults is not None:
@@ -179,6 +171,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     config = _config_from(args)
+    if args.workers < 1:
+        args.parser.error(f"--workers must be at least 1, got {args.workers}")
     try:
         populations = tuple(int(p) for p in args.populations.split(","))
         # Builds every point's config, so a swept population the scenario
@@ -288,6 +282,8 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 def cmd_bench_report(args: argparse.Namespace) -> int:
     from repro.bench.report import consolidate, render_markdown
 
+    if not Path(args.dir).is_dir():
+        args.parser.error(f"--dir: not a directory: {args.dir}")
     print(render_markdown(consolidate(args.dir)), end="")
     return 0
 
@@ -302,7 +298,10 @@ def cmd_bench_check(args: argparse.Namespace) -> int:
     except BenchSchemaError as exc:
         print(f"bench check: {exc}", file=sys.stderr)
         return 2
-    report = compare_artifacts(current, baseline, threshold=args.threshold)
+    try:
+        report = compare_artifacts(current, baseline, threshold=args.threshold)
+    except ValueError as exc:
+        args.parser.error(str(exc))
     print(report.render())
     return 0 if report.ok else 1
 
@@ -336,7 +335,7 @@ def _add_bench_parsers(sub) -> None:
     report.add_argument(
         "--dir", default=".", help="directory holding the artifacts (default: .)"
     )
-    report.set_defaults(func=cmd_bench_report)
+    report.set_defaults(func=cmd_bench_report, parser=report)
 
     check = bench_sub.add_parser(
         "check",
@@ -354,7 +353,7 @@ def _add_bench_parsers(sub) -> None:
         help="allowed relative cpu_s slowdown (0.5 = fail beyond 1.5x; "
         "default 0.5)",
     )
-    check.set_defaults(func=cmd_bench_check)
+    check.set_defaults(func=cmd_bench_check, parser=check)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,6 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(density)
     density.add_argument(
         "--populations", default="10,16,24", help="comma-separated population sizes"
+    )
+    density.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes that run the sweep points in parallel "
+        "(same results at any count)",
     )
     density.set_defaults(func=cmd_density)
 

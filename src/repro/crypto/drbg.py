@@ -107,9 +107,9 @@ class HmacDrbg(RandomSource):
         distinct labels give unrelated streams and the derivation is a
         pure function of (parent seed, reads so far, label).  Note that
         spawning advances the parent stream by one 32-byte read.  (The
-        provisioning pool does *not* use this: its workers each derive a
-        whole DRBG from their ``(bits, seed, index)`` spec, which is the
-        stronger per-entry determinism.)
+        provisioning pool does *not* use this: each entry derives a whole
+        DRBG from its ``(bits, seed, index)`` spec, which is the stronger
+        per-entry determinism.)
         """
         if not label:
             raise ValueError("spawn requires a non-empty label")

@@ -67,7 +67,8 @@ class DensitySweep:
 
     Each point is ``base_config`` at one swept population; every other
     scenario axis is set on ``base_config``.  ``workers > 1`` runs the
-    sweep points in parallel processes.  Every point derives all
+    sweep points in parallel processes, the package's one process
+    fan-out (``repro density --workers``).  Every point derives all
     randomness from its own config seed and every worker provisions from
     per-user DRBGs, so a parallel sweep reports exactly what the serial
     sweep would — only sooner.  Set ``provisioning="pooled"`` and a

@@ -219,15 +219,6 @@ class GainesvilleStudy:
             session_crypto=cfg.session_crypto,
             relay_request_grace=cfg.relay_request_grace,
         )
-        # Pooled mode prefetches every user's key pair up front — in
-        # parallel when the scenario asks for workers.
-        if cfg.provisioning == "pooled":
-            self.keypair_pool.prefetch(
-                cfg.key_bits,
-                cfg.seed,
-                range(len(nodes)),
-                workers=cfg.provisioning_workers,
-            )
         for index, node in enumerate(nodes):
             username = f"user-{node:02d}" if isinstance(node, int) else str(node)
             signup = provision_user(

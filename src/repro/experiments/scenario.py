@@ -87,9 +87,6 @@ class ScenarioConfig:
     #: The one way to name a key cache, so the config records whether a
     #: build could hit one.
     key_cache_dir: Optional[str] = None
-    #: Worker processes for the pooled-mode keypair prefetch (1 = serial;
-    #: results are identical at any worker count).
-    provisioning_workers: int = 1
     #: Packet protection engine: the per-link secure-session layer
     #: (default) or the legacy per-packet hybrid-RSA pipeline.  Both
     #: produce byte-identical delivery/delay traces for a fixed seed; the
@@ -135,8 +132,6 @@ class ScenarioConfig:
                 f"provisioning must be one of {PROVISIONING_MODES}, "
                 f"got {self.provisioning!r}"
             )
-        if self.provisioning_workers < 1:
-            raise ValueError("provisioning_workers must be at least 1")
         # Unknown kinds and the figure4a/num_users constraint are
         # rejected by the knob's single validation point.
         resolve_social_graph_kind(self.social_graph, self.num_users)

@@ -183,20 +183,28 @@ class FaultPlan:
         valid = {f.name: f for f in fields(cls)}
         overrides: Dict[str, object] = {}
         for part in parts[start:]:
-            key, _, raw = part.partition("=")
+            key, equals, raw = part.partition("=")
             key = key.strip()
             if key not in valid:
                 raise ValueError(
                     f"unknown fault field {key!r} (known: {sorted(valid)})"
                 )
+            if not equals:
+                raise ValueError(f"fault override {key!r} must be key=value")
             raw = raw.strip()
-            if key == "cloud_rate_limit":
-                overrides[key] = int(raw)
-            elif key == "reboot_delay_s":
-                lo, _, hi = raw.partition(":")
-                overrides[key] = (float(lo), float(hi))
-            else:
-                overrides[key] = float(raw)
+            try:
+                if key == "cloud_rate_limit":
+                    form = "an integer"
+                    overrides[key] = int(raw)
+                elif key == "reboot_delay_s":
+                    form = "LO:HI seconds"
+                    lo, _, hi = raw.partition(":")
+                    overrides[key] = (float(lo), float(hi))
+                else:
+                    form = "a number"
+                    overrides[key] = float(raw)
+            except ValueError:
+                raise ValueError(f"{key} must be {form}, got {raw!r}") from None
         return replace(plan, **overrides)
 
     @classmethod

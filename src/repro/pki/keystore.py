@@ -145,20 +145,12 @@ class KeyStore:
             self._materialize()
         return self._private_key
 
-    @private_key.setter
-    def private_key(self, value: Optional[RsaPrivateKey]) -> None:
-        self._private_key = value
-
     @property
     def own_certificate(self) -> Optional[Certificate]:
         """The device's own certificate (materialised on first access)."""
         if self._own_certificate is None and self._materializer is not None:
             self._materialize()
         return self._own_certificate
-
-    @own_certificate.setter
-    def own_certificate(self, value: Optional[Certificate]) -> None:
-        self._own_certificate = value
 
     @property
     def provisioned(self) -> bool:

@@ -1,10 +1,9 @@
-"""Identity provisioning: keypair pool, lazy sign-up, parallel prefetch.
+"""Identity provisioning: keypair pool and lazy sign-up.
 
 Every AlleyOop Social user holds an RSA key pair minted at sign-up (paper
 Fig. 2a).  In the reproduction that keygen is pure build-time cost —
-75–95 ms of CPU per user (median over 100 keys, 2-vCPU VM) at the
-1024-bit simulation key size — and after the
-batched medium (PR 1) and the session-crypto layer (PR 2) it is what
+51.7 ms of CPU per 1024-bit key pair (mean over 30 keys, 2-vCPU VM) —
+and after the batched medium and the session-crypto layer it is what
 makes large-N secured sweeps intractable.  This module removes keygen
 from the world-construction hot path three ways, selected by
 :attr:`repro.experiments.scenario.ScenarioConfig.provisioning`:
@@ -16,8 +15,7 @@ from the world-construction hot path three ways, selected by
 ``pooled``
     Key pairs come from a :class:`KeypairPool` — a deterministic cache
     keyed by ``(bits, seed, index)`` with an optional on-disk store, so
-    repeated sweeps pay keygen once, and :meth:`KeypairPool.prefetch` can
-    spread the initial generation over ``multiprocessing`` workers.
+    repeated sweeps pay keygen once.
 ``lazy``
     Sign-up installs a *placeholder*: account + reserved certificate
     serial + CA root now, key pair and certificate only on first secured
@@ -55,14 +53,13 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey, generate_keypair
 from repro.pki.certificate import DistinguishedName
 from repro.pki.csr import CertificateSigningRequest
 from repro.pki.keystore import KeyStore
-from repro.sim.parallel import parallel_map
 
 #: The three provisioning strategies, in reference-first order.
 PROVISIONING_MODES = ("eager", "pooled", "lazy")
@@ -98,16 +95,11 @@ def ca_drbg_seed(scenario_seed: int) -> int:
     return scenario_seed * 7919 + 1
 
 
-def _generate_pool_entry(task: Tuple[int, int, PoolIndex]) -> Tuple[PoolIndex, RsaKeyPair]:
-    """Worker body for parallel prefetch: one fully deterministic entry.
-
-    Each worker seeds its own DRBG from the entry's ``(bits, seed,
-    index)`` spec, so results are independent of worker count, scheduling
-    and chunking — a parallel prefetch is bit-for-bit the serial one.
-    """
-    bits, seed, index = task
+def _generate_pool_entry(bits: int, seed: int, index: PoolIndex) -> RsaKeyPair:
+    """The key pair of one pool entry, from the DRBG its ``(bits, seed,
+    index)`` spec derives: the key an eager build generates for it."""
     drbg_seed = ca_drbg_seed(seed) if index == CA_INDEX else signup_drbg_seed(seed, index)
-    return index, generate_keypair(bits, rng=HmacDrbg.from_int(drbg_seed))
+    return generate_keypair(bits, rng=HmacDrbg.from_int(drbg_seed))
 
 
 class KeypairPool:
@@ -150,51 +142,20 @@ class KeypairPool:
             self.stats["disk_hits"] += 1
             self._memory[key] = loaded
             return loaded
-        _, keypair = _generate_pool_entry((bits, seed, index))
+        keypair = _generate_pool_entry(bits, seed, index)
         self.stats["generated"] += 1
         self._memory[key] = keypair
         self._store(bits, seed, index, keypair)
         return keypair
 
-    def prefetch(
-        self,
-        bits: int,
-        seed: int,
-        indices: Iterable[int],
-        workers: int = 1,
-    ) -> int:
-        """Ensure every ``(bits, seed, index)`` entry exists; returns how
-        many had to be generated.
-
-        With ``workers > 1`` the missing entries are generated by a
-        ``multiprocessing`` pool; each task carries its own DRBG spec
-        (see :func:`_generate_pool_entry`), so assignment to workers is
-        irrelevant to the result and the prefetch stays deterministic.
-        Falls back to in-process generation where ``fork`` is unavailable.
-        """
-        wanted = [
-            (bits, seed, index)
-            for index in indices
-            if (bits, seed, index) not in self._memory
-        ]
-        missing: List[Tuple[int, int, int]] = []
-        for task in wanted:
-            loaded = self._load(*task)
-            if loaded is not None:
-                self.stats["disk_hits"] += 1
-                self._memory[task] = loaded
-            else:
-                missing.append(task)
-        if not missing:
-            return 0
-        # parallel_map preserves task order, so results line up with
-        # ``missing`` regardless of which worker ran what.
-        results = parallel_map(_generate_pool_entry, missing, workers)
-        for task, (_, keypair) in zip(missing, results):
-            self.stats["generated"] += 1
-            self._memory[task] = keypair
-            self._store(*task, keypair)
-        return len(missing)
+    def prefetch(self, bits: int, seed: int, indices: Iterable[int]) -> int:
+        """:meth:`get` every ``(bits, seed, index)`` entry, so a later
+        build finds them in memory or on disk; returns how many had to be
+        generated."""
+        generated = self.stats["generated"]
+        for index in indices:
+            self.get(bits, seed, index)
+        return self.stats["generated"] - generated
 
     # -- disk layer -----------------------------------------------------------
     def _load(self, bits: int, seed: int, index: PoolIndex) -> Optional[RsaKeyPair]:
@@ -235,11 +196,6 @@ class KeypairPool:
         except OSError:
             pass  # cache is best-effort; generation already succeeded
 
-    @property
-    def size(self) -> int:
-        """Entries currently held in memory."""
-        return len(self._memory)
-
 
 def provision_user(
     cloud,
@@ -269,9 +225,8 @@ def provision_user(
         now: Simulation time of the sign-up.
         key_bits: RSA modulus size.
         mode: One of :data:`PROVISIONING_MODES`.
-        pool: Keypair source for ``pooled`` (a memory-only pool is
-            created ad hoc when omitted) and, optionally, for ``lazy``
-            materialisation.
+        pool: Keypair source for ``pooled`` and ``lazy`` (a memory-only
+            pool is created ad hoc when omitted).
 
     Returns:
         The sign-up result; its ``keystore`` is ready for middleware use.
@@ -289,8 +244,8 @@ def provision_user(
         return sign_up(
             cloud, username, rng=HmacDrbg.from_int(drbg_seed), now=now, key_bits=key_bits
         )
+    pool = pool if pool is not None else KeypairPool()
     if mode == "pooled":
-        pool = pool if pool is not None else KeypairPool()
         keypair = pool.get(key_bits, seed, index)
         return sign_up(
             cloud,
@@ -307,10 +262,7 @@ def provision_user(
     root = cloud.root_certificate
 
     def materialize():
-        if pool is not None:
-            keypair = pool.get(key_bits, seed, index)
-        else:
-            keypair = generate_keypair(key_bits, rng=HmacDrbg.from_int(drbg_seed))
+        keypair = pool.get(key_bits, seed, index)
         csr = CertificateSigningRequest.create(
             subject=DistinguishedName(common_name=username),
             private_key=keypair.private,

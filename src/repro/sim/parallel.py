@@ -1,11 +1,12 @@
 """Deterministic multi-process fan-out: :func:`parallel_map`.
 
 Fork a worker pool, map a pure function over the items, tear the pool
-down.  Used by the keypair-pool prefetch and the density-sweep point
-runner.  It falls back to in-process execution whenever forking is
-impossible — no ``fork`` start method on the platform, a sandbox that
-forbids subprocesses, or running *inside* a pool worker (daemonic
-processes cannot have children).
+down.  Its one caller is the density sweep, whose points run across
+``DensitySweep(workers=N)`` processes (``repro density --workers N``).
+It falls back to in-process execution whenever forking is impossible —
+no ``fork`` start method on the platform, a sandbox that forbids
+subprocesses, or running *inside* a pool worker (daemonic processes
+cannot have children).
 
 The contract callers must honour is that worker functions are pure
 functions of the item — every item carries its own seed material and no

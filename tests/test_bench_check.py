@@ -54,6 +54,14 @@ class TestGateVerdicts:
         with pytest.raises(ValueError, match="non-negative"):
             compare_artifacts(current, baseline, threshold=-0.1)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_threshold_that_would_switch_the_gate_off_is_rejected(self, threshold):
+        """With a NaN or infinite threshold no point could ever fail as slow."""
+        current = _artifact([("b", 0, 400.0, SHA_B)])
+        baseline = _artifact([("b", 0, 4.0, SHA_B)])
+        with pytest.raises(ValueError, match="finite"):
+            compare_artifacts(current, baseline, threshold=threshold)
+
     def test_min_seconds_skips_noise_floor_points(self):
         # A 3x slowdown on a 5ms point is noise, not a regression...
         current = _artifact([("fast", 0, 0.015, SHA_A)])
@@ -139,6 +147,23 @@ class TestCheckCli:
         assert (
             main(["bench", "check", cur, "--against", base, "--threshold", "0.2"]) == 1
         )
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan", "inf"])
+    def test_bad_threshold_is_a_usage_error(self, tmp_path, capsys, threshold):
+        """A mistyped threshold exits 2, not 1 (which reads as a
+        regression) and not 0 (which would switch the gate off)."""
+        base = self._write(tmp_path, "base.json", _artifact([("b", 0, 4.0, SHA_B)]))
+        cur = self._write(tmp_path, "cur.json", _artifact([("b", 0, 40.0, SHA_B)]))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "check", cur, "--against", base, "--threshold", threshold])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert errors == [
+            f"repro bench check: error: threshold must be finite and non-negative, "
+            f"got {float(threshold)}"
+        ]
 
     def test_schema_errors_exit_2(self, tmp_path, capsys):
         good = self._write(tmp_path, "good.json", _artifact(BASELINE))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.bench.report import consolidate, render_markdown
 from repro.cli import main
 
@@ -58,3 +60,14 @@ class TestReportCli:
     def test_cli_markdown_matches_golden(self, capsys):
         assert main(["bench", "report", "--dir", str(FIXTURES)]) == 0
         assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", ["missing", "a-file"])
+    def test_dir_that_is_not_a_directory_is_a_usage_error(self, tmp_path, capsys, name):
+        """A mistyped ``--dir`` is not an empty trajectory."""
+        (tmp_path / "a-file").write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "report", "--dir", str(tmp_path / name)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "repro bench report: error: --dir: not a directory" in captured.err
+        assert captured.out == ""

@@ -86,18 +86,24 @@ class TestCli:
         [
             (["study", "--users", "1"], "need at least two users"),
             (["study", "--faults", "frame_drop_prob=1.5"], "frame_drop_prob"),
-            (["density", "--workers", "0"], "at least 1"),
+            (["density", "--workers", "0"], "--workers must be at least 1"),
             (["density", "--populations", "10,x"], "--populations"),
             (["density", "--populations", "1"], "need at least two users"),
             (["study", "--users", "2"], "at least 3 users"),
             (["graph-stats", "--users", "1"], "at least 3 users"),
             (["graph-stats", "--users", "0"], "at least 3 users"),
             (["graph-stats", "--social-graph", "figure4a", "--users", "12"], "figure4a"),
+            (["study", "--faults", "mild,reboot_delay_s=5"], "reboot_delay_s must be LO:HI"),
+            (["study", "--faults", "mild,frame_drop_prob"], "'frame_drop_prob' must be key=value"),
+            (["study", "--faults", "frame_drop_prob=abc"], "frame_drop_prob must be a number"),
+            (["study", "--faults", "cloud_rate_limit=2.5"], "cloud_rate_limit must be an integer"),
         ],
         ids=[
             "users", "faults", "workers", "populations", "population-below-two",
             "two-users-no-hub-follower", "graph-stats-one-user", "graph-stats-no-users",
-            "graph-stats-figure4a-population",
+            "graph-stats-figure4a-population", "faults-reboot-delay-not-a-range",
+            "faults-override-without-value", "faults-probability-not-a-number",
+            "faults-rate-limit-not-an-integer",
         ],
     )
     def test_rejected_value_is_a_usage_error(self, argv, message, capsys):
@@ -106,6 +112,15 @@ class TestCli:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error:" in err and message in err
+
+    @pytest.mark.parametrize("command", ["study", "compare"])
+    def test_workers_is_a_density_option(self, command, capsys):
+        """Only the density sweep fans out: ``--workers`` elsewhere is an
+        unknown option, not a silently ignored one."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestDensitySweep:
