@@ -8,11 +8,12 @@ protects packets with ChaCha20+HMAC under hkdf-derived keys.  This bench
 enforces the ISSUE-2 contracts:
 
 * **throughput** — >= 5x secured-packet rounds/second (sender encrypt +
-  receiver decrypt/authenticate) over the legacy path,
-* **equivalence** — byte-identical delivery/delay traces between the two
-  crypto modes on the default 10-user Gainesville reconstruction (CI's
-  equivalence step runs this exact half), plus an end-to-end CPU-time
-  speedup of the same pair of runs.
+  receiver decrypt/authenticate) over the paper's per-packet pipeline
+  (:class:`repro.core.adhoc.PerPacketChannel`),
+* **equivalence** — byte-identical delivery/delay traces on the default
+  10-user Gainesville reconstruction with that pipeline swapped in for
+  the session layer (CI's equivalence step runs this exact half), plus
+  an end-to-end CPU-time speedup of the same pair of runs.
 
 Run just this bench (tiny smoke sizes included) with::
 
@@ -28,8 +29,9 @@ from typing import Callable, List, Tuple
 import pytest
 
 from repro.bench.traceid import trace_lines
+from repro.core.adhoc import PerPacketChannel
 from repro.crypto.drbg import HmacDrbg
-from repro.crypto.rsa import generate_keypair, hybrid_decrypt, hybrid_encrypt
+from repro.crypto.rsa import generate_keypair
 from repro.crypto.session import SecureChannel
 from repro.experiments import GainesvilleStudy, ScenarioConfig
 from repro.metrics.report import format_table
@@ -44,25 +46,11 @@ def _keys():
     return alice, bob
 
 
-def _legacy_round(alice, bob, rng) -> Callable[[], None]:
-    """One secured packet exactly as the legacy ad hoc path does it:
-    sign, frame, hybrid-encrypt -> hybrid-decrypt, split, verify."""
-
-    def round_trip() -> None:
-        signature = alice.private.sign(PAYLOAD)
-        framed = len(PAYLOAD).to_bytes(4, "big") + PAYLOAD + signature
-        envelope = hybrid_encrypt(bob.public, framed, rng=rng, aad=b"alice")
-        opened = hybrid_decrypt(bob.private, envelope, aad=b"alice")
-        plain_len = int.from_bytes(opened[:4], "big")
-        plaintext = opened[4 : 4 + plain_len]
-        assert alice.public.verify(plaintext, opened[4 + plain_len :])
-
-    return round_trip
-
-
-def _session_round(alice, bob) -> Callable[[], None]:
-    sender = SecureChannel("alice", "bob", alice.private, bob.public, HmacDrbg.from_int(7))
-    receiver = SecureChannel("bob", "alice", bob.private, alice.public, HmacDrbg.from_int(8))
+def _round(channel, alice, bob) -> Callable[[], None]:
+    """One secured packet through a ``channel`` pair: the sender's encrypt,
+    then the receiver's decrypt and authentication."""
+    sender = channel("alice", "bob", alice.private, bob.public, HmacDrbg.from_int(7))
+    receiver = channel("bob", "alice", bob.private, alice.public, HmacDrbg.from_int(8))
 
     def round_trip() -> None:
         frame = sender.encrypt(PAYLOAD, now=0.0)
@@ -92,10 +80,8 @@ def _packets_per_second(round_trip: Callable[[], None], packets: int, repeats: i
 
 def _throughput_rows(packets: int, repeats: int) -> Tuple[float, List[Tuple]]:
     alice, bob = _keys()
-    session_pps = _packets_per_second(_session_round(alice, bob), packets, repeats)
-    legacy_pps = _packets_per_second(
-        _legacy_round(alice, bob, HmacDrbg.from_int(9)), packets, repeats
-    )
+    session_pps = _packets_per_second(_round(SecureChannel, alice, bob), packets, repeats)
+    legacy_pps = _packets_per_second(_round(PerPacketChannel, alice, bob), packets, repeats)
     speedup = session_pps / legacy_pps
     rows = [
         ("legacy per-packet RSA", f"{legacy_pps:,.0f}"),
@@ -141,13 +127,21 @@ def _run_study(config: ScenarioConfig) -> Tuple[GainesvilleStudy, float]:
     return study, time.process_time() - start
 
 
+def _run_study_pair(config: ScenarioConfig):
+    """``config`` under the session layer, then with the per-packet
+    pipeline swapped in: each study and its CPU seconds (build + run +
+    analysis)."""
+    session_study, session_s = _run_study(config)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.core.adhoc.SecureChannel", PerPacketChannel)
+        legacy_study, legacy_s = _run_study(config)
+    return session_study, session_s, legacy_study, legacy_s
+
+
 @pytest.fixture(scope="module")
 def default_study_pair():
-    """The default 10-user field study under both crypto modes, with the
-    CPU seconds of each run (build + 7 simulated days + analysis)."""
-    session_study, session_s = _run_study(ScenarioConfig(session_crypto=True))
-    legacy_study, legacy_s = _run_study(ScenarioConfig(session_crypto=False))
-    return session_study, session_s, legacy_study, legacy_s
+    """The default 10-user field study under both channels."""
+    return _run_study_pair(ScenarioConfig())
 
 
 def test_bench_crypto_default_study_equivalence(default_study_pair):
@@ -173,7 +167,7 @@ def test_bench_crypto_default_study_speedup(default_study_pair):
     print(
         format_table(
             "Default Gainesville study, end to end (seconds)",
-            ("crypto mode", "wall", "speedup"),
+            ("crypto mode", "cpu", "speedup"),
             [
                 ("legacy per-packet RSA", f"{legacy_s:.2f}", ""),
                 ("per-link session", f"{session_s:.2f}", f"{legacy_s / session_s:.2f}x"),
@@ -190,7 +184,6 @@ def test_bench_crypto_smoke():
     sample size and a 4-user/1-day cross-mode trace equivalence."""
     speedup, _ = _throughput_rows(packets=40, repeats=2)
     assert speedup >= 3.0  # reduced bar at smoke sample sizes
-    config = dict(num_users=4, duration_days=1, total_posts=20, seed=77)
-    session_study, _ = _run_study(ScenarioConfig(session_crypto=True, **config))
-    legacy_study, _ = _run_study(ScenarioConfig(session_crypto=False, **config))
+    config = ScenarioConfig(num_users=4, duration_days=1, total_posts=20, seed=77)
+    session_study, _, legacy_study, _ = _run_study_pair(config)
     assert trace_lines(session_study.sim) == trace_lines(legacy_study.sim)

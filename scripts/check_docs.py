@@ -5,7 +5,7 @@ Run from the repo root (``tests/test_docs.py`` does)::
 
     PYTHONPATH=src python scripts/check_docs.py
 
-Four passes, all dependency-free:
+Five passes, all dependency-free:
 
 1. **doctests** — executes the runnable examples embedded in the
    documented module headers (``doctest.testmod`` on the imported
@@ -21,10 +21,16 @@ Four passes, all dependency-free:
 4. **config names** — every ``ScenarioConfig.<name>`` and
    ``SosConfig.<name>`` the linked docs mention must be a live field or
    attribute, so a retired knob cannot stay documented.
+5. **CLI flags** — every ``--flag`` in a ``repro <command> …`` invocation
+   the linked docs show (in fenced blocks, ``\\`` continuations joined,
+   and in inline code spans) must be an option of that command's parser
+   in ``repro.cli.build_parser()``, so a retired flag cannot stay
+   documented either.  Values and placeholders are not checked.
 """
 
 from __future__ import annotations
 
+import argparse
 import doctest
 import importlib
 import re
@@ -45,6 +51,9 @@ LINKED_DOCS = ("README.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md", "docs/TRAC
 _MD_LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)\)")
 _CODE_PATH = re.compile(r"`((?:src|docs|tests|benchmarks|examples|scripts)/[A-Za-z0-9_./-]+)`")
 _CONFIG_NAME = re.compile(r"\b(ScenarioConfig|SosConfig)\.([A-Za-z_]\w*)")
+_INLINE_CODE = re.compile(r"`([^`\n]+)`")
+#: Shell words that end an invocation.
+_SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>", "<"}
 
 
 def run_doctests() -> int:
@@ -130,11 +139,81 @@ def check_config_names(root: Path, docs=LINKED_DOCS) -> int:
     return failures
 
 
+def _shell_snippets(text: str):
+    """The lines of fenced code blocks (``\\`` continuations joined) and
+    the inline code spans of the prose around them."""
+    fenced, joined = False, ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced, joined = not fenced, ""
+        elif fenced and line.rstrip().endswith("\\"):
+            joined += line.rstrip()[:-1] + " "
+        elif fenced:
+            yield joined + line
+            joined = ""
+        else:
+            yield from _INLINE_CODE.findall(line)
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _unknown_flags(snippet: str, top: argparse.ArgumentParser):
+    """For each ``repro <command> …`` invocation in ``snippet``, yield the
+    flags its command's parser does not define."""
+    words = snippet.split()
+    for start, word in enumerate(words):
+        if word != "repro":
+            continue
+        parser, command, unknown = top, ["repro"], []
+        for word in words[start + 1 :]:
+            if word in _SHELL_BREAKS or word.startswith("#"):
+                break
+            subcommands = _subcommands(parser)
+            if word in subcommands:
+                parser = subcommands[word]
+                command.append(word)
+            elif word.startswith("--"):
+                flag = word.split("=", 1)[0]
+                if not any(flag in action.option_strings for action in parser._actions):
+                    unknown.append(f"{' '.join(command)} {flag}")
+        if len(command) > 1:  # prose "repro" without a command is no invocation
+            yield unknown
+
+
+def check_cli_flags(root: Path, docs=LINKED_DOCS) -> int:
+    """Every ``--flag`` of a documented ``repro <command>`` invocation must
+    be an option of that command."""
+    from repro.cli import build_parser
+
+    top = build_parser()
+    failures = 0
+    for doc in docs:
+        path = root / doc
+        if not path.is_file():
+            continue  # check_links reports the missing document
+        invocations, unknown = 0, []
+        for snippet in _shell_snippets(path.read_text()):
+            for flags in _unknown_flags(snippet, top):
+                invocations += 1
+                unknown.extend(flags)
+        status = "ok" if not unknown else "FAILED"
+        print(f"cli flags {doc}: {invocations} invocations, {len(unknown)} unknown [{status}]")
+        for flag in unknown:
+            print(f"  unknown: {flag}")
+        failures += len(unknown)
+    return failures
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     failures = (
         run_doctests() + check_links(root) + check_trace_catalogue(root)
-        + check_config_names(root)
+        + check_config_names(root) + check_cli_flags(root)
     )
     if failures:
         print(f"\n{failures} documentation check(s) failed")

@@ -48,7 +48,7 @@ class SignupResult:
 def sign_up(
     cloud: CloudService,
     username: str,
-    rng: RandomSource,
+    rng: Optional[RandomSource],
     now: float,
     key_bits: int = 1024,
     keypair: Optional[RsaKeyPair] = None,
@@ -58,8 +58,11 @@ def sign_up(
     sign-up is the one step that genuinely needs the Internet.
 
     ``keypair`` injects a pre-generated key pair (the keypair-pool path of
-    :mod:`repro.pki.provisioning`); by default a fresh one is generated
-    from ``rng``, which is the paper's on-device keygen."""
+    :mod:`repro.pki.provisioning`, which passes no ``rng``); by default a
+    fresh one is generated from ``rng``, which is the paper's on-device
+    keygen.  Raises ``ValueError`` when given neither."""
+    if keypair is None and rng is None:
+        raise ValueError("sign-up needs a key pair or a DRBG to generate one from")
     account = cloud.create_account(username, now=now)
     keypair = keypair or generate_keypair(key_bits, rng=rng)
     csr = CertificateSigningRequest.create(

@@ -51,10 +51,6 @@ def scenario_config(overrides: Dict[str, Any]):
 _SMOKE_RUNS: Tuple[BenchRun, ...] = (
     BenchRun("smoke_default", {"duration_days": 1, "total_posts": 40}, repetitions=2),
     BenchRun(
-        "smoke_legacy_crypto",
-        {"duration_days": 1, "total_posts": 40, "session_crypto": False},
-    ),
-    BenchRun(
         "smoke_sparse_n16",
         {
             "num_users": 16,

@@ -37,19 +37,16 @@ from repro.experiments import (
 from repro.social.generators import SOCIAL_GRAPH_KINDS
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, users: bool = True) -> None:
+    """The scenario options; ``users=False`` leaves out ``--users`` for
+    the density sweep, whose populations come from ``--populations``."""
     parser.add_argument("--seed", type=int, default=2017, help="master seed")
     parser.add_argument("--days", type=int, default=None, help="study length in days")
     parser.add_argument("--posts", type=int, default=None, help="total posts to schedule")
-    parser.add_argument("--users", type=int, default=None, help="population size")
+    if users:
+        parser.add_argument("--users", type=int, default=None, help="population size")
     parser.add_argument(
         "--protocol", default=None, help="routing protocol (default: interest)"
-    )
-    parser.add_argument(
-        "--legacy-packet-crypto",
-        action="store_true",
-        help="use the per-packet hybrid-RSA reference path instead of the "
-        "per-link secure-session layer (same traces; for benchmarking)",
     )
     parser.add_argument(
         "--provisioning",
@@ -100,12 +97,10 @@ def _config_from(args: argparse.Namespace) -> ScenarioConfig:
         kwargs["duration_days"] = args.days
     if args.posts is not None:
         kwargs["total_posts"] = args.posts
-    if args.users is not None:
+    if getattr(args, "users", None) is not None:
         kwargs["num_users"] = args.users
     if args.protocol is not None:
         kwargs["routing_protocol"] = args.protocol
-    if args.legacy_packet_crypto:
-        kwargs["session_crypto"] = False
     if args.provisioning is not None:
         kwargs["provisioning"] = args.provisioning
     if args.key_cache is not None:
@@ -327,7 +322,7 @@ def _add_bench_parsers(sub) -> None:
         help="artifact destination (default: BENCH_<suite>.json in the "
         "current directory)",
     )
-    run.set_defaults(func=cmd_bench_run)
+    run.set_defaults(func=cmd_bench_run, parser=run)
 
     report = bench_sub.add_parser(
         "report", help="every BENCH_*.json in a directory as one markdown table"
@@ -377,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=cmd_compare)
 
     density = sub.add_parser("density", help="population-density sweep")
-    _add_common(density)
+    _add_common(density, users=False)
     density.add_argument(
         "--populations", default="10,16,24", help="comma-separated population sizes"
     )
@@ -391,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     density.set_defaults(func=cmd_density)
 
     protocols = sub.add_parser("protocols", help="list available routing schemes")
-    protocols.set_defaults(func=cmd_protocols)
+    protocols.set_defaults(func=cmd_protocols, parser=protocols)
 
     graph_stats = sub.add_parser(
         "graph-stats",
@@ -442,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every rule name and description, then exit",
     )
-    lint.set_defaults(func=cmd_lint)
+    lint.set_defaults(func=cmd_lint, parser=lint)
 
     _add_bench_parsers(sub)
     return parser
@@ -450,7 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # Reported by the command's own parser (every command sets it),
+        # whose usage line lists the options the command does take.
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     return args.func(args)
 
 

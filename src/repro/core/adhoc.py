@@ -14,24 +14,20 @@ Lifecycle of a peer relationship::
 
 Security properties enforced here:
 
-* every non-CERT packet is encrypted and peer-authenticated.  Two wire
-  modes provide this (``SosConfig.session_crypto``):
-
-  - **session** (default): after the certificate exchange, a per-link
-    :class:`~repro.crypto.session.SecureChannel` pays RSA once per
-    sending direction and protects every packet with ChaCha20 +
-    HMAC-SHA256 under hkdf-derived directional keys (frames ``K``/``S``).
-    A reconnect resumes from the master the peer acknowledged holding
-    (frame ``R``) and pays no RSA while that master is under an hour
-    old; one :class:`~repro.crypto.session.SessionKeyStore` per device
-    keeps the masters and the anti-replay record across channels,
-  - **legacy** (the reference oracle): every packet is individually
-    signed by the sending peer and encrypted end-to-end to the receiving
-    peer's public key (hybrid RSA+ChaCha20, frame ``E``).
-
-  Both modes produce byte-identical delivery traces for a fixed seed;
-  end-to-end *originator* signatures on forwarded DATA are independent of
-  either mode and always verified (paper Fig. 3b),
+* every non-CERT packet is encrypted and peer-authenticated: after the
+  certificate exchange, a per-link
+  :class:`~repro.crypto.session.SecureChannel` pays RSA once per sending
+  direction and protects every packet with ChaCha20 + HMAC-SHA256 under
+  hkdf-derived directional keys (frames ``K``/``S``).  A reconnect
+  resumes from the master the peer acknowledged holding (frame ``R``)
+  and pays no RSA while that master is under an hour old; one
+  :class:`~repro.crypto.session.SessionKeyStore` per device keeps the
+  masters and the anti-replay record across channels.  The paper's own
+  pipeline — every packet signed by the sender and hybrid-encrypted to
+  the receiver (frame ``E``) — is :class:`PerPacketChannel`, the
+  reference whose traces the session layer must equal byte for byte.
+  End-to-end *originator* signatures on forwarded DATA are independent
+  of the channel and always verified (paper Fig. 3b),
 * a peer whose certificate fails validation is disconnected and ignored
   for :data:`RECONNECT_BACKOFF_S` seconds,
 * tampered, replayed or unverifiable payloads are dropped and reported
@@ -48,15 +44,8 @@ from repro.core.config import SosConfig
 from repro.core.errors import SecurityError
 from repro.core.wire import PacketKind, SosPacket, WireError
 from repro.crypto.drbg import RandomSource
-from repro.crypto.rsa import hybrid_decrypt, hybrid_encrypt
-from repro.crypto.session import (
-    DATA_FRAME,
-    KEY_FRAME,
-    RESUME_FRAME,
-    SecureChannel,
-    SessionCryptoError,
-    SessionKeyStore,
-)
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, hybrid_decrypt, hybrid_encrypt
+from repro.crypto.session import SecureChannel, SessionCryptoError, SessionKeyStore
 from repro.mpc.advertiser import AdvertiserDelegate, Invitation, ServiceAdvertiser
 from repro.mpc.browser import BrowserDelegate, ServiceBrowser
 from repro.mpc.errors import MpcError
@@ -79,6 +68,64 @@ _CHANNEL_COUNTERS = (
 )
 
 
+class PerPacketChannel:
+    """The paper's per-packet pipeline (§III-D) behind ``SecureChannel``'s
+    interface: each packet is signed, framed as ``len | plaintext |
+    signature`` and hybrid-encrypted to the peer (frame ``E``), and each
+    receipt pays the RSA decryption and the verification.  No setting
+    selects it: it is the reference the session layer's traces must
+    equal, and tests swap it in (which routes ``E`` frames to it) with::
+
+        monkeypatch.setattr("repro.core.adhoc.SecureChannel", PerPacketChannel)
+    """
+
+    MARKERS = (b"E",)
+
+    def __init__(
+        self,
+        local_user: str,
+        peer_user: str,
+        private_key: RsaPrivateKey,
+        peer_public_key: RsaPublicKey,
+        rng: RandomSource,
+        keys: Optional[SessionKeyStore] = None,  # unused: no session keys
+    ) -> None:
+        self._send_aad = local_user.encode()
+        self._recv_aad = peer_user.encode()
+        self._private_key = private_key
+        self._peer_public_key = peer_public_key
+        self._rng = rng
+        # The key counters the manager folds in stay 0.
+        self.stats = dict.fromkeys([its for _, its in _CHANNEL_COUNTERS], 0)
+        self.stats.update(frames_sent=0, frames_received=0)
+
+    def encrypt(self, plaintext: bytes, now: float) -> bytes:
+        """Sign, frame and hybrid-encrypt one packet."""
+        signature = self._private_key.sign(plaintext)
+        framed = len(plaintext).to_bytes(4, "big") + plaintext + signature
+        envelope = hybrid_encrypt(self._peer_public_key, framed, rng=self._rng, aad=self._send_aad)
+        self.stats["frames_sent"] += 1
+        return b"E" + envelope
+
+    def decrypt(self, frame: bytes, now: float) -> bytes:
+        """Open one ``E`` frame and verify the sender's signature; raises
+        :class:`~repro.crypto.session.SessionCryptoError` on any failure."""
+        if frame[:1] != b"E":
+            raise SessionCryptoError(f"not a per-packet frame: {frame[:1]!r}")
+        try:
+            framed = hybrid_decrypt(self._private_key, frame[1:], aad=self._recv_aad)
+        except ValueError as exc:
+            raise SessionCryptoError(str(exc)) from exc
+        if len(framed) < 4:
+            raise SessionCryptoError("short decrypted frame")
+        plain_len = int.from_bytes(framed[:4], "big")
+        plaintext, signature = framed[4 : 4 + plain_len], framed[4 + plain_len :]
+        if not self._peer_public_key.verify(plaintext, signature):
+            raise SessionCryptoError("bad payload signature")
+        self.stats["frames_received"] += 1
+        return plaintext
+
+
 @dataclass
 class _PeerState:
     """Everything the manager tracks about one nearby user."""
@@ -88,8 +135,8 @@ class _PeerState:
     secured: bool = False
     cert_sent: bool = False
     cert_timer: Optional[Timer] = None
-    #: The per-link secure session (session_crypto mode); created lazily
-    #: after the certificate exchange, dropped with the connection.
+    #: The per-link secure session; created lazily after the certificate
+    #: exchange, dropped with the connection.
     channel: Optional[SecureChannel] = None
 
 
@@ -339,20 +386,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
             raise SecurityError(f"peer {user_id!r} is not secured")
         plaintext = packet.encode()
         if self.config.require_encryption:
-            if self.config.session_crypto:
-                frame = self._channel_for(state).encrypt(plaintext, self.sim.now)
-            else:
-                peer_cert = self.keystore.peer_certificate(user_id)
-                if peer_cert is None:
-                    raise SecurityError(f"no cached certificate for {user_id!r}")
-                signature = self.keystore.private_key.sign(plaintext)
-                framed = (
-                    len(plaintext).to_bytes(4, "big") + plaintext + signature
-                )
-                envelope = hybrid_encrypt(
-                    peer_cert.public_key, framed, rng=self._rng, aad=self.user_id.encode()
-                )
-                frame = b"E" + envelope
+            frame = self._channel_for(state).encrypt(plaintext, self.sim.now)
         else:
             frame = b"P" + plaintext
         self._transmit(state.peer, frame, on_complete)
@@ -407,9 +441,7 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
             if packet.kind is not PacketKind.CERT:
                 if self.config.require_encryption:
                     raise SecurityError("plaintext payload with encryption required")
-        elif marker in (KEY_FRAME, DATA_FRAME, RESUME_FRAME):
-            if not self.config.session_crypto:
-                raise SecurityError("session frame but session crypto is disabled")
+        elif marker in SecureChannel.MARKERS:
             state = self._peers.get(from_user)
             if state is None or not state.secured:
                 raise SecurityError(f"payload from unsecured peer {from_user!r}")
@@ -417,26 +449,6 @@ class AdHocManager(SessionDelegate, BrowserDelegate, AdvertiserDelegate):
                 plaintext = self._channel_for(state).decrypt(data, self.sim.now)
             except SessionCryptoError as exc:
                 raise SecurityError(f"session decryption failed: {exc}") from exc
-            packet = SosPacket.decode(plaintext)
-        elif marker == b"E":
-            if self.config.session_crypto:
-                raise SecurityError("per-packet envelope but session crypto is enabled")
-            try:
-                framed = hybrid_decrypt(
-                    self.keystore.private_key, rest, aad=from_user.encode()
-                )
-            except ValueError as exc:
-                raise SecurityError(f"decryption failed: {exc}") from exc
-            if len(framed) < 4:
-                raise WireError("short decrypted frame")
-            plain_len = int.from_bytes(framed[:4], "big")
-            plaintext = framed[4 : 4 + plain_len]
-            signature = framed[4 + plain_len :]
-            peer_cert = self.keystore.peer_certificate(from_user)
-            if peer_cert is None:
-                raise SecurityError(f"payload before certificate from {from_user!r}")
-            if not peer_cert.public_key.verify(plaintext, signature):
-                raise SecurityError(f"bad payload signature from {from_user!r}")
             packet = SosPacket.decode(plaintext)
         else:
             raise WireError(f"unknown frame marker {marker!r}")

@@ -32,12 +32,6 @@ class SosConfig:
         Security preference: refuse plaintext payload exchange.  The field
         study ran with encryption on; turning it off is only for the
         security-cost ablation bench.
-    session_crypto:
-        Use the per-link secure-session layer (RSA once per link
-        direction, ChaCha20+HMAC per packet — see
-        :mod:`repro.crypto.session`).  Off selects the legacy per-packet
-        hybrid-RSA pipeline, kept as the reference oracle; both modes
-        produce byte-identical delivery/delay traces for a fixed seed.
     relay_request_grace:
         Seconds a node waits before pulling content from a *relay* when
         the same content might arrive from its author directly (origin
@@ -47,7 +41,6 @@ class SosConfig:
     service_type: str = "sos-alleyoop"
     routing_protocol: str = "interest"
     require_encryption: bool = True
-    session_crypto: bool = True
     relay_request_grace: float = 90.0
     #: Disseminate follow/unfollow actions as (system) messages — §V's
     #: "performs an action such as follow/unfollow of a user".  Gossiped

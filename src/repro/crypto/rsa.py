@@ -329,7 +329,7 @@ _MAC_SIZE = 32
 def hybrid_envelope_len(plaintext_len: int, recipient_key_bytes: int) -> int:
     """Wire length of a :func:`hybrid_encrypt` envelope for a plaintext of
     ``plaintext_len`` bytes (the session layer pads its frames against
-    this so both crypto modes drive the radio model identically)."""
+    this so both channels drive the radio model identically)."""
     return (
         len(_ENVELOPE_MAGIC) + 2 + recipient_key_bytes + _NONCE_SIZE
         + plaintext_len + _MAC_SIZE

@@ -100,9 +100,10 @@ envelope would have produced for the same plaintext
 (:func:`legacy_frame_len`).  The optimisation targets CPU cost, not the
 simulated radio model: padding keeps transfer durations — and therefore
 the full delivery/delay trace of any fixed-seed scenario — byte-identical
-between the two crypto modes, which is what lets the legacy path serve
-as the reference oracle.  Resume frames and acks live inside that
-padding too, so resumption moves no trace either.
+to the per-packet pipeline's (:class:`repro.core.adhoc.PerPacketChannel`),
+which is what lets that pipeline serve as the reference oracle.  Resume
+frames and acks live inside that padding too, so resumption moves no
+trace either.
 
 Example
 -------
@@ -202,8 +203,8 @@ class SessionCryptoError(ValueError):
 def legacy_frame_len(plaintext_len: int, peer_key_bytes: int, own_key_bytes: int) -> int:
     """Wire length of the legacy per-packet frame for ``plaintext_len``
     payload bytes: ``"E" + SOSE envelope`` wrapping ``len | plaintext |
-    signature``.  Session frames are padded to this length so both crypto
-    modes drive the simulated radio identically."""
+    signature``.  Session frames are padded to this length so both
+    channels drive the simulated radio identically."""
     framed_len = 4 + plaintext_len + own_key_bytes  # len | plaintext | sig
     return 1 + hybrid_envelope_len(framed_len, peer_key_bytes)
 
@@ -304,10 +305,15 @@ class SecureChannel:
     two instances never talk out-of-band: all key material travels inside
     the ``K`` and ``R`` frames, so the channel works over the existing
     one-frame transport without extra round trips — and without
-    perturbing the transfer schedule the legacy mode produces.  Pass a
-    ``keys`` store that outlives the channel (the ad hoc manager keeps one
-    per device) to reject replays across reconnects and to resume.
+    perturbing the transfer schedule the per-packet pipeline produces.
+    Pass a ``keys`` store that outlives the channel (the ad hoc manager
+    keeps one per device) to reject replays across reconnects and to
+    resume.
     """
+
+    #: The frame markers :meth:`decrypt` opens; the ad hoc manager hands
+    #: a channel every frame that starts with one of them.
+    MARKERS = (KEY_FRAME, DATA_FRAME, RESUME_FRAME)
 
     def __init__(
         self,

@@ -216,7 +216,6 @@ class GainesvilleStudy:
         sos_config = SosConfig(
             routing_protocol=cfg.routing_protocol,
             require_encryption=cfg.require_encryption,
-            session_crypto=cfg.session_crypto,
             relay_request_grace=cfg.relay_request_grace,
         )
         for index, node in enumerate(nodes):

@@ -87,12 +87,6 @@ class ScenarioConfig:
     #: The one way to name a key cache, so the config records whether a
     #: build could hit one.
     key_cache_dir: Optional[str] = None
-    #: Packet protection engine: the per-link secure-session layer
-    #: (default) or the legacy per-packet hybrid-RSA pipeline.  Both
-    #: produce byte-identical delivery/delay traces for a fixed seed; the
-    #: flag exists for benchmarking and equivalence checks (see
-    #: repro.crypto.session and benchmarks/test_bench_crypto.py).
-    session_crypto: bool = True
 
     # -- fault injection ----------------------------------------------------------------
     #: Fault plan spec (see repro.faults.plan.FaultPlan.parse): ``"none"``

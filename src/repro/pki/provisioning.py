@@ -239,22 +239,13 @@ def provision_user(
         raise ValueError(
             f"unknown provisioning mode {mode!r}; expected one of {PROVISIONING_MODES}"
         )
-    drbg_seed = signup_drbg_seed(seed, index)
     if mode == "eager":
-        return sign_up(
-            cloud, username, rng=HmacDrbg.from_int(drbg_seed), now=now, key_bits=key_bits
-        )
+        rng = HmacDrbg.from_int(signup_drbg_seed(seed, index))
+        return sign_up(cloud, username, rng=rng, now=now, key_bits=key_bits)
     pool = pool if pool is not None else KeypairPool()
     if mode == "pooled":
         keypair = pool.get(key_bits, seed, index)
-        return sign_up(
-            cloud,
-            username,
-            rng=HmacDrbg.from_int(drbg_seed),
-            now=now,
-            key_bits=key_bits,
-            keypair=keypair,
-        )
+        return sign_up(cloud, username, rng=None, now=now, key_bits=key_bits, keypair=keypair)
 
     # -- lazy: account + serial reservation now, crypto on first use ---------
     account = cloud.create_account(username, now=now)

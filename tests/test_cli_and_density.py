@@ -97,13 +97,19 @@ class TestCli:
             (["study", "--faults", "mild,frame_drop_prob"], "'frame_drop_prob' must be key=value"),
             (["study", "--faults", "frame_drop_prob=abc"], "frame_drop_prob must be a number"),
             (["study", "--faults", "cloud_rate_limit=2.5"], "cloud_rate_limit must be an integer"),
+            # The sweep takes its populations from --populations only.
+            (
+                ["density", "--users", "100", "--days", "1", "--posts", "4"],
+                "unrecognized arguments: --users 100",
+            ),
+            (["protocols", "--all"], "unrecognized arguments: --all"),
         ],
         ids=[
             "users", "faults", "workers", "populations", "population-below-two",
             "two-users-no-hub-follower", "graph-stats-one-user", "graph-stats-no-users",
             "graph-stats-figure4a-population", "faults-reboot-delay-not-a-range",
             "faults-override-without-value", "faults-probability-not-a-number",
-            "faults-rate-limit-not-an-integer",
+            "faults-rate-limit-not-an-integer", "density-users", "protocols-unknown-option",
         ],
     )
     def test_rejected_value_is_a_usage_error(self, argv, message, capsys):

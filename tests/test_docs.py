@@ -1,6 +1,7 @@
 """Tier-1 runs the doc checker (module doctests, markdown links, the
-trace catalogue's drift, config names), so a broken doctest, dead link
-or retired knob fails the suite; CI runs it in the ``tests`` job."""
+trace catalogue's drift, config names, CLI flags), so a broken doctest,
+dead link, retired knob or retired flag fails the suite; CI runs it in
+the ``tests`` job."""
 
 import importlib.util
 import os
@@ -47,3 +48,20 @@ def test_config_name_pass_flags_a_retired_field(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config names DOC.md: 4 named, 1 stale [FAILED]" in out
     assert "stale: ScenarioConfig.medium_batched" in out
+
+
+def test_cli_flag_pass_flags_a_retired_option(tmp_path, capsys):
+    """``--workers`` left ``repro study`` in favour of ``repro density``;
+    nested commands, positionals and placeholders pass."""
+    (tmp_path / "DOC.md").write_text(
+        "Run `repro density --workers 2`, then\n"
+        "`repro bench check X --against Y`.\n\n"
+        "```sh\n"
+        "PYTHONPATH=src python -m repro study --days 1 \\\n"
+        "    --workers 2   # retired\n"
+        "```\n"
+    )
+    assert _check_docs().check_cli_flags(tmp_path, docs=("DOC.md",)) == 1
+    out = capsys.readouterr().out
+    assert "cli flags DOC.md: 3 invocations, 1 unknown [FAILED]" in out
+    assert "unknown: repro study --workers" in out

@@ -252,6 +252,36 @@ class TestProvisionUser:
         assert pool.stats["generated"] == 1
         assert signup.keystore.private_key == pool.get(1024, 2, 0).private
 
+    def test_pooled_sign_up_builds_no_drbg(self, monkeypatch):
+        """The pool supplies the key pair, so a pooled sign-up has nothing
+        to draw from a DRBG of its own."""
+        cloud = self._cloud()
+        pool = KeypairPool()
+        keypair = pool.get(BITS, 2, 0)
+        built = []
+        original = HmacDrbg.__init__
+
+        def counted(drbg, seed):
+            built.append(seed)
+            original(drbg, seed)
+
+        monkeypatch.setattr(HmacDrbg, "__init__", counted)
+        signup = provision_user(
+            cloud, "alice", seed=2, index=0, now=0.0, key_bits=BITS, mode="pooled", pool=pool
+        )
+        assert built == []
+        assert signup.keystore.private_key == keypair.private
+
+    def test_sign_up_needs_a_key_pair_or_a_drbg(self, keygens):
+        """Neither is an error, not a silent fall back to OS entropy."""
+        from repro.alleyoop.signup import sign_up
+
+        cloud = self._cloud()
+        made = len(keygens)  # the CA's key pair
+        with pytest.raises(ValueError, match="key pair or a DRBG"):
+            sign_up(cloud, "alice", rng=None, now=0.0, keypair=None)
+        assert len(keygens) == made
+
     def test_lazy_materialises_from_the_pool(self, tmp_path):
         pool = KeypairPool(str(tmp_path))
         signup = provision_user(

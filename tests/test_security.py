@@ -8,6 +8,7 @@ one of those goals and asserts the middleware rejects it.
 
 import pytest
 
+from repro.core.adhoc import PerPacketChannel
 from repro.core.config import SosConfig
 from repro.core.wire import SosPacket, canonical_message_bytes
 from repro.crypto.drbg import HmacDrbg
@@ -16,12 +17,14 @@ from repro.storage.messagestore import StoredMessage
 from tests.worldutil import World
 
 
-@pytest.fixture(params=[True, False], ids=["session", "legacy"])
-def world(ca, keypair_pool, request):
+@pytest.fixture(params=["session", "legacy"])
+def world(ca, keypair_pool, request, monkeypatch):
     """Every attack here must be rejected under both packet-crypto wire
-    formats: the per-link secure-session layer and the legacy per-packet
-    hybrid-RSA reference path."""
-    return World(ca, keypair_pool, session_crypto=request.param)
+    formats: the per-link secure-session layer and the paper's per-packet
+    hybrid-RSA pipeline (:class:`PerPacketChannel`, swapped in)."""
+    if request.param == "legacy":
+        monkeypatch.setattr("repro.core.adhoc.SecureChannel", PerPacketChannel)
+    return World(ca, keypair_pool)
 
 
 def connected_pair(world):
@@ -189,11 +192,13 @@ class TestEncryptionPreference:
                 # a master bob holds: eve cannot derive its key.
                 with pytest.raises(SessionCryptoError):
                     eve_as_bob.decrypt(frame, now=world.sim.now)
-        if world.session_crypto:
+        from repro.core import adhoc
+
+        if adhoc.SecureChannel is PerPacketChannel:
+            assert any(f[:1] == b"E" for f in encrypted)
+        else:
             assert any(f[:1] == b"K" for f in encrypted)
             assert any(f[:1] == b"R" for f in encrypted)
-        else:
-            assert any(f[:1] == b"E" for f in encrypted)
         # The plaintext never appears on the wire in either mode.
         assert all(b"secret text" not in frame for frame in captured)
 

@@ -3,12 +3,14 @@ and its wiring through the ad hoc manager.
 
 Covers the ISSUE-2 checklist: rekey boundaries (time and volume),
 replayed/reordered-frame rejection, channel teardown on peer loss with
-re-handshake on reconnect, session-on/off trace equivalence, and
+re-handshake on reconnect, trace equivalence with the per-packet
+pipeline (``PerPacketChannel``, swapped in) and its own rejections, and
 originator verification of forwarded DATA (tampered copies, CRL sync).
 """
 
 import pytest
 
+from repro.core.adhoc import PerPacketChannel
 from repro.core.config import SosConfig
 from repro.core.errors import SecurityError
 from repro.core.wire import SosPacket
@@ -227,6 +229,62 @@ class TestRekeyBoundaries:
         assert send.cipher._counter * 64 - len(send.cipher._leftover) == 100
 
 
+class TestPerPacketChannel:
+    """The paper's per-packet pipeline: the reference the session layer's
+    traces must equal."""
+
+    @staticmethod
+    def _pair(keypair_pool, receiver=1, signer=0):
+        """Alice's sending end (sealing to ``receiver``'s key, signing with
+        ``signer``'s) and bob's receiving end."""
+        sender = PerPacketChannel(
+            "alice", "bob", keypair_pool[signer].private, keypair_pool[receiver].public,
+            HmacDrbg.from_int(101),
+        )
+        opener = PerPacketChannel(
+            "bob", "alice", keypair_pool[1].private, keypair_pool[0].public,
+            HmacDrbg.from_int(202),
+        )
+        return sender, opener
+
+    def test_round_trip_returns_the_plaintext(self, keypair_pool):
+        alice, bob = self._pair(keypair_pool)
+        for size in (0, 1, 700):
+            frame = alice.encrypt(b"p" * size, now=0.0)
+            assert frame[:1] == b"E"
+            assert len(frame) == legacy_frame_len(size, 128, 128)  # 1024-bit pool keys
+            assert bob.decrypt(frame, now=0.0) == b"p" * size
+        assert alice.stats["frames_sent"] == bob.stats["frames_received"] == 3
+        assert alice.stats["keys_established"] == bob.stats["keys_accepted"] == 0
+
+    def test_flipped_byte_rejected(self, keypair_pool):
+        alice, bob = self._pair(keypair_pool)
+        frame = alice.encrypt(b"tamper target", now=0.0)
+        for position in (1, 9, len(frame) // 2, len(frame) - 1):
+            damaged = bytearray(frame)
+            damaged[position] ^= 0x01
+            with pytest.raises(SessionCryptoError):
+                bob.decrypt(bytes(damaged), now=0.0)
+        assert bob.decrypt(frame, now=0.0) == b"tamper target"
+
+    def test_frame_sealed_for_another_receiver_rejected(self, keypair_pool):
+        alice, bob = self._pair(keypair_pool, receiver=2)
+        with pytest.raises(SessionCryptoError):
+            bob.decrypt(alice.encrypt(b"for carol", now=0.0), now=0.0)
+
+    def test_frame_signed_by_another_sender_rejected(self, keypair_pool):
+        eve, bob = self._pair(keypair_pool, signer=2)
+        with pytest.raises(SessionCryptoError, match="bad payload signature"):
+            bob.decrypt(eve.encrypt(b"posing as alice", now=0.0), now=0.0)
+
+    @pytest.mark.parametrize("marker", [b"K", b"S", b"R"])
+    def test_session_frame_rejected(self, keypair_pool, marker):
+        alice, bob = self._pair(keypair_pool)
+        frame = alice.encrypt(b"relabelled", now=0.0)
+        with pytest.raises(SessionCryptoError, match="not a per-packet frame"):
+            bob.decrypt(marker + frame[1:], now=0.0)
+
+
 class TestAdhocIntegration:
     def _secured_pair(self, world, **config_kwargs):
         config = SosConfig(relay_request_grace=0.0, **config_kwargs)
@@ -310,10 +368,11 @@ class TestAdhocIntegration:
         )
         assert bob.sos.adhoc.stats["security_failures"] == failures + 1
 
-    def test_session_frame_when_disabled_rejected(self, world):
-        alice, bob = self._secured_pair(world, session_crypto=False)
+    def test_session_frame_when_disabled_rejected(self, world, monkeypatch):
+        monkeypatch.setattr("repro.core.adhoc.SecureChannel", PerPacketChannel)
+        alice, bob = self._secured_pair(world)
         # Craft a genuine session frame from alice's material and offer it
-        # to legacy-mode bob: decode must fail safely.
+        # to per-packet bob: decode must fail safely.
         from repro.mpc.peer import PeerID
 
         channel = SecureChannel(
@@ -331,12 +390,13 @@ class TestAdhocIntegration:
 
 
 class TestTraceEquivalence:
-    def test_session_and_legacy_runs_identical(self, ca, keypair_pool):
+    def test_session_and_legacy_runs_identical(self, ca, keypair_pool, monkeypatch):
         """The reference oracle: a fixed-seed multi-user run must emit a
-        byte-identical trace stream in both crypto modes."""
+        byte-identical trace stream under the session layer and under the
+        paper's per-packet pipeline swapped in."""
 
-        def run(session_crypto):
-            world = World(ca, keypair_pool, session_crypto=session_crypto)
+        def run():
+            world = World(ca, keypair_pool)
             users = {}
             for i, name in enumerate(["alice", "bob", "carol", "dave"]):
                 users[name] = world.add_user(name, position=Point(100.0 + 25.0 * i, 100.0))
@@ -348,15 +408,20 @@ class TestTraceEquivalence:
             world.sim.schedule_at(90.0, users["carol"].post, "two")
             world.sim.schedule_at(150.0, users["alice"].post, "three")
             world.run(600.0)
-            return [
+            trace = [
                 (e.time, e.category, e.kind, tuple(sorted(e.data.items())))
                 for e in world.sim.trace
             ]
+            keys = sum(app.sos.security_stats["session_keys_established"] for app in users.values())
+            return trace, keys
 
-        session_trace = run(True)
-        legacy_trace = run(False)
+        session_trace, session_keys = run()
+        monkeypatch.setattr("repro.core.adhoc.SecureChannel", PerPacketChannel)
+        legacy_trace, legacy_keys = run()
         assert session_trace == legacy_trace
         assert any(e[1] == "message" and e[2] == "received" for e in session_trace)
+        # The swap took: only the session layer establishes keys.
+        assert session_keys > 0 and legacy_keys == 0
 
 
 class TestOriginatorVerification:

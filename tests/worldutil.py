@@ -72,16 +72,12 @@ class World:
         keypair_pool,
         tick: float = 10.0,
         seed: int = 1,
-        session_crypto: bool = True,
     ) -> None:
         self.sim = Simulator(seed=seed)
         self.medium = Medium(self.sim, tick_interval=tick)
         self.framework = MpcFramework(self.sim, self.medium)
         self.cloud = CloudService(ca=ca)
         self._keypair_pool = keypair_pool
-        #: Default packet-crypto mode for users added without an explicit
-        #: config (tests parametrise this to cover both wire formats).
-        self.session_crypto = session_crypto
         self.apps: Dict[str, AlleyOopApp] = {}
         self.devices: Dict[str, Device] = {}
 
@@ -116,12 +112,7 @@ class World:
             keystore=keystore,
             cloud=self.cloud,
             rng=HmacDrbg.from_int(9000 + index),
-            config=config
-            or SosConfig(
-                routing_protocol="interest",
-                relay_request_grace=0.0,
-                session_crypto=self.session_crypto,
-            ),
+            config=config or SosConfig(routing_protocol="interest", relay_request_grace=0.0),
             resilience=resilience,
         )
         self.apps[name] = app
