@@ -39,7 +39,8 @@ from repro.social.digraph import SocialDigraph
 
 #: The density regime the sweep bench targets (users in the study area).
 SCALE_N = 500
-#: Build-only worlds never wrap session masters, so small keys are fine.
+#: Build-only worlds never wrap session masters, so small keys are fine;
+#: their configs pass ``require_encryption=False``, which such keys need.
 BUILD_BITS = 512
 SEED = 2026
 
@@ -63,6 +64,7 @@ def _build_config(provisioning: str, cache_dir: str) -> ScenarioConfig:
         total_posts=0,
         seed=SEED,
         key_bits=BUILD_BITS,
+        require_encryption=False,
         provisioning=provisioning,
         key_cache_dir=cache_dir,
     )
@@ -153,7 +155,7 @@ def test_bench_provisioning_smoke(tmp_path):
     (reduced bar) and cross-mode trace equivalence on a 4-user day."""
     cache = str(tmp_path / "keys")
     small = dict(num_users=24, duration_days=1, total_posts=0, seed=SEED,
-                 key_bits=BUILD_BITS, key_cache_dir=cache)
+                 key_bits=BUILD_BITS, require_encryption=False, key_cache_dir=cache)
     _, eager_s = _timed_build(ScenarioConfig(provisioning="eager", **small))
     lazy_study, lazy_s = _timed_build(ScenarioConfig(provisioning="lazy", **small))
     assert not any(

@@ -37,7 +37,8 @@ from tests.wiring_oracle import PerEdgeStudy
 
 #: The wiring-speed regime (dense graph: ~1.9M directed edges).
 SCALE_N = 2000
-#: Build-only worlds never run packet crypto, so small keys are fine.
+#: Build-only worlds never run packet crypto, so small keys are fine;
+#: their configs pass ``require_encryption=False``, which such keys need.
 BUILD_BITS = 512
 SEED = 2027
 
@@ -65,6 +66,7 @@ def _build(num_users: int, bulk: bool, social_graph: str) -> _TimedWiring:
         total_posts=0,
         seed=SEED,
         key_bits=BUILD_BITS,
+        require_encryption=False,
         provisioning="lazy",
         social_graph=social_graph,
     )

@@ -145,9 +145,9 @@ def trace_reaching_functions(functions: Dict[str, FunctionInfo]) -> Set[str]:
 
     A function qualifies when it contains a sink call, transitively
     calls (by bare name, same module) a function that does, or is a
-    direct callee of one — the last hop catches helpers like
-    ``Medium._mobility_groups`` whose ordering feeds an emitting tick
-    without emitting themselves.
+    direct callee of one — the last hop catches a helper whose ordering
+    feeds an emitting tick without emitting itself (say, one that
+    buckets a tick's devices by iterating a dict).
     """
     by_bare: Dict[str, List[FunctionInfo]] = {}
     for info in functions.values():

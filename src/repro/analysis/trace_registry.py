@@ -53,7 +53,7 @@ def _spec(
     return EventSpec(category, kind, modules, description, consumer)
 
 
-_MEDIUM = ("src/repro/net/medium.py", "src/repro/net/tracefile.py")
+_MEDIUM = ("src/repro/net/medium.py",)
 _APP = ("src/repro/alleyoop/app.py",)
 _INJECTOR = ("src/repro/faults/injector.py",)
 _CONNECTIVITY = ("src/repro/faults/connectivity.py",)

@@ -44,23 +44,6 @@ def _domain_metrics(result) -> Dict[str, float]:
     return out
 
 
-def _medium_metrics(medium) -> Dict[str, float]:
-    """Contact-tick cost, in units that survive a 1-core CI host.
-
-    ``medium_tick_cpu_s`` is CPU time inside the tick, so
-    ``device_ticks_per_cpu_s`` is the tick-throughput figure.
-    """
-    out: Dict[str, float] = {
-        "medium_ticks": float(medium.tick_count),
-        "medium_tick_cpu_s": round(medium.tick_cpu_s, 6),
-    }
-    if medium.tick_cpu_s > 0.0:
-        out["device_ticks_per_cpu_s"] = round(
-            len(medium.devices) * medium.tick_count / medium.tick_cpu_s, 3
-        )
-    return out
-
-
 def _max_rss_kb() -> float:
     """The process's peak RSS in KiB (``ru_maxrss`` is KiB on Linux and
     bytes on macOS)."""
@@ -86,7 +69,6 @@ def run_point(config_overrides: Dict[str, Any]):
         "max_rss_kb": _max_rss_kb(),
     }
     metrics.update(_domain_metrics(result))
-    metrics.update(_medium_metrics(study.medium))
     return metrics, trace_sha256(study.sim)
 
 

@@ -184,6 +184,9 @@ class KeyGenerationError(ValueError):
 #: indicate a degenerate random source, not bad luck.
 DEFAULT_KEYGEN_ATTEMPTS = 64
 
+#: The smallest modulus :func:`generate_keypair` makes.
+MIN_KEY_BITS = 512
+
 
 def generate_keypair(
     bits: int = 1024,
@@ -199,8 +202,8 @@ def generate_keypair(
     Raises :class:`KeyGenerationError` after ``max_attempts`` failed
     prime-pair draws rather than looping forever on a stuck source.
     """
-    if bits < 512:
-        raise ValueError(f"modulus must be at least 512 bits, got {bits}")
+    if bits < MIN_KEY_BITS:
+        raise ValueError(f"modulus must be at least {MIN_KEY_BITS} bits, got {bits}")
     if bits % 2:
         raise ValueError("modulus bit size must be even")
     if max_attempts < 1:

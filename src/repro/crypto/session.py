@@ -173,6 +173,9 @@ RESUME_FRAME = b"R"
 
 _MAC_SIZE = 32
 _MASTER_SIZE = 32
+#: The smallest RSA modulus, in bytes, that can wrap a master: OAEP with
+#: SHA-256 carries at most k - 66 bytes of a k-byte modulus.
+MIN_WRAPPING_KEY_BYTES = _MASTER_SIZE + 2 * 32 + 2
 #: A master's fingerprint (SHA-256 of its wrapped form); also the ack size.
 _FINGERPRINT_SIZE = 32
 #: ``"R" | fingerprint | u64 counter``.

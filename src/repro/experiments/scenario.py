@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.core.middleware import PROTOCOLS
+from repro.crypto.rsa import MIN_KEY_BITS
+from repro.crypto.session import MIN_WRAPPING_KEY_BYTES
 from repro.faults.plan import FaultPlan
 from repro.pki.provisioning import PROVISIONING_MODES
 from repro.social.generators import resolve_social_graph_kind
@@ -116,6 +118,16 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if self.key_bits < MIN_KEY_BITS or self.key_bits % 2:
+            raise ValueError(
+                f"key_bits must be even and at least {MIN_KEY_BITS}, got {self.key_bits}"
+            )
+        # A secured link wraps its session master to the peer's key.
+        if self.require_encryption and (self.key_bits + 7) // 8 < MIN_WRAPPING_KEY_BYTES:
+            raise ValueError(
+                f"require_encryption needs keys of at least {MIN_WRAPPING_KEY_BYTES} "
+                f"bytes to wrap a session key, got key_bits={self.key_bits}"
+            )
         if self.routing_protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown routing protocol {self.routing_protocol!r}; "

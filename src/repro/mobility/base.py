@@ -5,12 +5,11 @@ asks each model for its position at the current simulation time via
 :meth:`MobilityModel.position_at`.  Calls must be made with non-decreasing
 times; models may keep internal waypoint state between calls.
 
-The medium's batched tick advances whole populations at once through the
-class-level :meth:`MobilityModel.positions_at` hook: it groups devices by
-mobility class and issues one call per class.  The base implementation
-just loops :meth:`position_at`; subclasses whose state allows it (e.g.
-:class:`StationaryModel`) answer for the whole group without a per-node
-Python call.
+The medium's tick advances the whole population at once through the
+class-level :meth:`MobilityModel.positions_at` hook: one call per tick on
+the base class, with every model in registration order.  It loops
+:meth:`position_at`, so a model's behaviour lives there alone; a
+subclass that overrode ``positions_at`` would be skipped by the tick.
 """
 
 from __future__ import annotations
@@ -31,11 +30,8 @@ class MobilityModel(ABC):
 
     @classmethod
     def positions_at(cls, models: Sequence["MobilityModel"], now: float) -> List[Point]:
-        """Batch API: positions of many models of this class at ``now``.
-
-        The fallback loops :meth:`position_at`; override when a whole
-        population can be advanced more cheaply than node-by-node.
-        """
+        """Batch API: positions of many models, of any classes, at ``now``,
+        in the order given."""
         return [model.position_at(now) for model in models]
 
 
@@ -47,11 +43,3 @@ class StationaryModel(MobilityModel):
 
     def position_at(self, now: float) -> Point:
         return self._position
-
-    @classmethod
-    def positions_at(cls, models: Sequence["MobilityModel"], now: float) -> List[Point]:
-        if cls.position_at is not StationaryModel.position_at:
-            # A subclass overrode the scalar query (jitter, delayed
-            # placement, ...): honour it instead of the _position shortcut.
-            return [model.position_at(now) for model in models]
-        return [model._position for model in models]

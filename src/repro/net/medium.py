@@ -19,10 +19,11 @@ per ``tick_interval`` for the whole population, for the whole study.
 :meth:`Medium.tick` is built for density sweeps with thousands of
 devices:
 
-* **Batched mobility** — devices are grouped by mobility class and each
-  class advances its whole group through one
-  :meth:`~repro.mobility.base.MobilityModel.positions_at` call, then the
-  spatial index takes the tick's positions as one snapshot via
+* **Batched mobility** — the medium keeps its devices in registration
+  order and advances the whole population through one
+  :meth:`~repro.mobility.base.MobilityModel.positions_at` call, in the
+  order ``PerDeviceMedium`` queries them; then the spatial index takes
+  the tick's positions as one snapshot via
   :meth:`~repro.geo.spatial_index.SpatialHashIndex.update_many`.
 * **Only radios that are on are indexed** — a dark radio can neither
   raise nor keep a link, so the tick leaves it out of the snapshot and
@@ -41,21 +42,26 @@ devices:
 
 Link events are emitted in sorted pair order within a tick, so the
 trace does not depend on the order in which the sweep finds pairs (that
-follows grid cells and mobility groups).
+follows grid cells and registration order).
 The seed algorithm — one radius query per device, pair-set rediff —
 lives on as a test oracle, ``PerDeviceMedium`` in
 ``tests/medium_oracle.py``: ``tests/test_medium_scale.py`` and
 ``benchmarks/test_bench_medium_scale.py`` check that both produce
 byte-identical traces and measure the tick's throughput against it (see
 EXPERIMENTS.md for how to run them).
+
+The link bookkeeping below the tick (the link table, the contact
+tracker, ``contact`` trace events, callbacks, queries and :meth:`Medium.stop`)
+is shared: :class:`~repro.net.tracefile.TraceMedium` replays a recorded
+contact trace through it instead of ticking.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.geo.spatial_index import SpatialHashIndex
+from repro.mobility.base import MobilityModel
 from repro.net.contact import ContactTracker, pair_key
 from repro.net.device import Device
 from repro.net.radio import RadioProfile, best_common_radio
@@ -106,12 +112,9 @@ class Medium:
         self._radio_class: Dict[str, int] = {}
         #: (class_a << 16 | class_b) -> (radio, range_m^2) or None.
         self._class_radio: Dict[int, Optional[Tuple[RadioProfile, float]]] = {}
-        #: mobility-class groups, rebuilt after add/remove.
-        self._groups: Optional[List[Tuple[type, List[Device], list]]] = None
-        # Tick instrumentation (read by the scale bench and sweep reports).
-        self.tick_count = 0
-        #: cumulative CPU seconds spent inside tick().
-        self.tick_cpu_s = 0.0
+        #: Registered devices and their mobility models, in registration order.
+        self._roster: List[Device] = []
+        self._models: List[MobilityModel] = []
         self._timer = PeriodicTimer(sim, self.tick_interval, self.tick, name="medium-tick")
 
     # -- population ---------------------------------------------------------------
@@ -138,8 +141,9 @@ class Medium:
             set_id = len(self._radio_set_ids)
             self._radio_set_ids[device.radios] = set_id
         self._radio_class[device.device_id] = set_id
+        self._roster.append(device)
+        self._models.append(device.mobility)
         device.position_at(self.sim.now)
-        self._groups = None
 
     def remove_device(self, device_id: str) -> None:
         device = self.devices.get(device_id)
@@ -153,7 +157,9 @@ class Medium:
         del self.devices[device_id]
         self._reach.pop(device_id, None)
         self._radio_class.pop(device_id, None)
-        self._groups = None
+        slot = self._roster.index(device)
+        del self._roster[slot]
+        del self._models[slot]
 
     # -- callbacks -----------------------------------------------------------------
     def on_link_up(self, callback: LinkCallback) -> None:
@@ -178,38 +184,19 @@ class Medium:
     # -- the tick ---------------------------------------------------------------------
     def tick(self) -> None:
         """Advance positions and rediff the in-range pair set."""
-        self.tick_count += 1
-        started = time.process_time()  # repro: ignore[nondet-wallclock] -- bench instrumentation only: the reading accumulates into tick_cpu_s, which is reported by benchmarks and never reaches simulation state, scheduling or the trace.
         now = self.sim.now
-        # Move everyone, one batch call per mobility class; index radios that are on.
+        # Move everyone in one batch call; index radios that are on.
+        points = MobilityModel.positions_at(self._models, now)
         lit = []
-        for mobility_cls, group_devices, models in self._mobility_groups():
-            points = mobility_cls.positions_at(models, now)
-            for device, position in zip(group_devices, points):
-                device._last_position = position
-                if device.powered_on:
-                    lit.append((device.device_id, position))
+        for device, position in zip(self._roster, points):
+            device._last_position = position
+            if device.powered_on:
+                lit.append((device.device_id, position))
         index = self._index
         index.update_many(lit)
         sweep = self._max_range * HYSTERESIS
         candidates = index.pairs_within(sweep, reach_of=self._reach) if len(lit) > 1 else []
         self._apply_candidates(candidates)
-        self.tick_cpu_s += time.process_time() - started  # repro: ignore[nondet-wallclock] -- bench instrumentation only: see above.
-
-    def _mobility_groups(self) -> List[Tuple[type, List[Device], list]]:
-        """Devices bucketed by mobility class (cached between ticks)."""
-        if self._groups is None:
-            buckets: Dict[type, Tuple[type, List[Device], list]] = {}
-            # repro: ignore[nondet-iter] -- order cannot reach the trace: registry order only decides the order of the batched positions_at calls and of the snapshot handed to update_many; the sweep's candidate set does not depend on that order, and link events are emitted in sorted pair order (_apply_candidates).
-            for device in self.devices.values():
-                cls = type(device.mobility)
-                entry = buckets.get(cls)
-                if entry is None:
-                    entry = buckets[cls] = (cls, [], [])
-                entry[1].append(device)
-                entry[2].append(device.mobility)
-            self._groups = list(buckets.values())
-        return self._groups
 
     def _apply_candidates(self, candidates: List[Tuple[str, str, float]]) -> None:
         """The incremental link diff.

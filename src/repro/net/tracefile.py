@@ -16,11 +16,12 @@ CRAWDAD archives.  This module can
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import Dict, Iterable, List, TextIO, Tuple
 
-from repro.net.contact import Contact, ContactTracker, pair_key
-from repro.net.device import Device
+from repro.net.contact import Contact, pair_key
+from repro.net.medium import Medium
 from repro.net.radio import P2P_WIFI, RadioProfile
 from repro.sim.engine import Simulator
 
@@ -35,6 +36,8 @@ class ContactInterval:
     end: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"non-finite contact interval [{self.start}, {self.end}]")
         if self.end <= self.start:
             raise ValueError(f"empty contact interval [{self.start}, {self.end}]")
         if self.node_a == self.node_b:
@@ -73,26 +76,32 @@ def read_contact_trace(fh: TextIO) -> List[ContactInterval]:
         parts = line.split()
         if len(parts) != 4:
             raise ValueError(f"malformed contact line {lineno}: {line!r}")
-        intervals.append(
-            ContactInterval(
-                start=float(parts[0]),
-                end=float(parts[1]),
-                node_a=parts[2],
-                node_b=parts[3],
+        try:
+            intervals.append(
+                ContactInterval(
+                    start=float(parts[0]),
+                    end=float(parts[1]),
+                    node_a=parts[2],
+                    node_b=parts[3],
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"bad contact line {lineno}: {line!r}: {exc}") from exc
     intervals.sort(key=lambda i: i.start)
     return intervals
 
 
-class TraceMedium:
-    """A drop-in :class:`~repro.net.medium.Medium` replacement driven by a
-    recorded contact trace instead of geometry.
+class TraceMedium(Medium):
+    """A :class:`~repro.net.medium.Medium` driven by a recorded contact
+    trace instead of geometry.
 
-    Only the surface the MPC layer consumes is implemented: device
-    registry, link callbacks, ``link_between`` / ``neighbours_of`` and the
-    contact tracker.  Devices still need (dummy) mobility for position
-    queries; positions are irrelevant to trace-driven contacts.
+    It starts no tick: :meth:`start` schedules the trace's up and down
+    events, and links go up and down through the medium's own link
+    bookkeeping, so callbacks, queries, the contact tracker and
+    :meth:`~repro.net.medium.Medium.stop` behave as under geometry.  A
+    pair stays linked until the last of its overlapping intervals ends.
+    Devices still need (dummy) mobility; positions are irrelevant to
+    trace-driven contacts.
     """
 
     def __init__(
@@ -101,90 +110,44 @@ class TraceMedium:
         intervals: Iterable[ContactInterval],
         radio: RadioProfile = P2P_WIFI,
     ) -> None:
-        self.sim = sim
+        super().__init__(sim)
         self.radio = radio
-        self.devices: Dict[str, Device] = {}
-        self.contacts = ContactTracker()
-        self._intervals = sorted(intervals, key=lambda i: i.start)
-        self._linked: Dict[Tuple[str, str], RadioProfile] = {}
-        self._up_callbacks = []
-        self._down_callbacks = []
-        self._started = False
+        self._intervals = list(intervals)
+        #: pair key -> number of its intervals that have begun and not ended.
+        self._open: Dict[Tuple[str, str], int] = {}
 
-    # -- Medium surface -----------------------------------------------------------
-    def add_device(self, device: Device) -> None:
-        if device.device_id in self.devices:
-            raise ValueError(f"duplicate device id {device.device_id!r}")
-        self.devices[device.device_id] = device
-
-    def on_link_up(self, callback) -> None:
-        self._up_callbacks.append(callback)
-
-    def on_link_down(self, callback) -> None:
-        self._down_callbacks.append(callback)
-
-    def link_between(self, a: str, b: str) -> Optional[RadioProfile]:
-        return self._linked.get(pair_key(a, b))
-
-    def neighbours_of(self, device_id: str) -> List[str]:
-        out = []
-        for key in self._linked:
-            if key[0] == device_id:
-                out.append(key[1])
-            elif key[1] == device_id:
-                out.append(key[0])
-        return out
-
-    @property
-    def active_links(self) -> int:
-        return len(self._linked)
-
-    # -- lifecycle -------------------------------------------------------------------
     def start(self) -> None:
-        """Schedule every up/down event from the trace."""
-        if self._started:
-            return
-        self._started = True
+        """Schedule every up/down event from the trace.
+
+        At one instant, downs run before ups and each in sorted pair
+        order, as within a tick, so a recorded trace replays to itself.
+        """
+        now = self.sim.now
+        edges = []
         for interval in self._intervals:
             if interval.node_a not in self.devices or interval.node_b not in self.devices:
                 continue  # trace mentions nodes we are not simulating
-            if interval.end <= self.sim.now:
+            if interval.end <= now:
                 continue
-            up_at = max(interval.start, self.sim.now)
-            self.sim.schedule_at(up_at, self._link_up, interval, name="trace-up")
-            self.sim.schedule_at(interval.end, self._link_down, interval, name="trace-down")
+            key = pair_key(interval.node_a, interval.node_b)
+            edges.append((max(interval.start, now), True, key))
+            edges.append((interval.end, False, key))
+        for at, up, key in sorted(edges):
+            if up:
+                self.sim.schedule_at(at, self._interval_up, key, name="trace-up")
+            else:
+                self.sim.schedule_at(at, self._interval_down, key, name="trace-down")
 
-    def stop(self) -> None:
-        for key in list(self._linked):
-            self._drop(key)
-        self.contacts.close_all(self.sim.now)
-
-    # -- events ------------------------------------------------------------------------
-    def _link_up(self, interval: ContactInterval) -> None:
-        key = pair_key(interval.node_a, interval.node_b)
+    def _interval_up(self, key: Tuple[str, str]) -> None:
+        self._open[key] = self._open.get(key, 0) + 1
         if key in self._linked:
             return
-        a, b = self.devices[key[0]], self.devices[key[1]]
-        if not (a.powered_on and b.powered_on):
-            return
-        self._linked[key] = self.radio
-        self.contacts.contact_up(key[0], key[1], self.radio, self.sim.now)
-        self.sim.trace.emit(self.sim.now, "contact", "up", a=key[0], b=key[1],
-                            radio=self.radio.technology.value)
-        for callback in self._up_callbacks:
-            callback(a, b, self.radio)
-
-    def _link_down(self, interval: ContactInterval) -> None:
-        self._drop(pair_key(interval.node_a, interval.node_b))
-
-    def _drop(self, key: Tuple[str, str]) -> None:
-        radio = self._linked.pop(key, None)
-        if radio is None:
-            return
         a, b = self.devices.get(key[0]), self.devices.get(key[1])
-        self.contacts.contact_down(key[0], key[1], self.sim.now)
-        self.sim.trace.emit(self.sim.now, "contact", "down", a=key[0], b=key[1],
-                            radio=radio.technology.value)
-        if a is not None and b is not None:
-            for callback in self._down_callbacks:
-                callback(a, b, radio)
+        if a is not None and b is not None and a.powered_on and b.powered_on:
+            self._raise_link(key, self.radio)
+
+    def _interval_down(self, key: Tuple[str, str]) -> None:
+        self._open[key] -= 1
+        if not self._open[key]:
+            del self._open[key]
+            self._drop_link(key)

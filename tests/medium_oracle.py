@@ -117,7 +117,6 @@ class PerDeviceMedium(Medium):
         return self._grid.distance_checks
 
     def tick(self) -> None:
-        self.tick_count += 1
         now = self.sim.now
         grid = self._grid
         devices = self.devices

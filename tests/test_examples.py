@@ -3,8 +3,8 @@
 ``examples/`` drives the library end to end: sign-up, discovery, secure
 sessions, the hybrid envelope and its tamper detection, multi-hop
 relaying, and contact-trace export and replay.  A change that breaks the
-surface they use fails here.  ``routing_comparison.py`` (about 13 s) is
-left out for time.
+surface they use fails here.  ``routing_comparison.py`` (about 8 s) is
+left out for time; CI's ``bench-smoke`` job runs it.
 """
 
 import os

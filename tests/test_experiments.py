@@ -99,10 +99,15 @@ class TestGainesvilleStudy:
             {"meetups_per_day": -3.0},
             {"relay_request_grace": float("nan")},
             {"routing_protocol": "warp"},
+            {"key_bits": 776},
+            {"key_bits": 512},
+            {"key_bits": 510, "require_encryption": False},
+            {"key_bits": 513, "require_encryption": False},
         ],
         ids=[
             "area-nan", "area-inf", "area-zero", "area-negative", "tick-nan",
             "tick-inf", "meetups-nan", "meetups-negative", "grace-nan", "protocol",
+            "keys-too-small-to-wrap", "keys-512-secured", "keys-below-floor", "keys-odd",
         ],
     )
     def test_bad_axis_rejected_when_the_config_is_built(self, overrides):
@@ -110,6 +115,13 @@ class TestGainesvilleStudy:
         # no contacts or with NaN-timed deferrals.
         with pytest.raises(ValueError):
             ScenarioConfig(**overrides)
+
+    @pytest.mark.parametrize("key_bits", [784, 782])
+    def test_smallest_keys_that_wrap_a_session_key_are_valid(self, key_bits):
+        assert ScenarioConfig(key_bits=key_bits).key_bits == key_bits
+
+    def test_small_keys_are_valid_without_encryption(self):
+        assert ScenarioConfig(key_bits=512, require_encryption=False).key_bits == 512
 
     def test_zero_meetups_is_valid(self):
         assert ScenarioConfig(meetups_per_day=0).meetups_per_day == 0

@@ -132,8 +132,8 @@ class TestNondetIter:
         assert lint_source(good) == []
 
     def test_helper_called_by_emitting_tick_flags(self):
-        # The Medium._mobility_groups shape: the helper never emits, but
-        # the tick that calls it does.
+        # A helper that buckets a tick's devices by iterating a dict
+        # never emits, but the tick that calls it does.
         bad = (
             "class Medium:\n"
             "    def _groups(self):\n"

@@ -12,10 +12,13 @@ link-lifecycle bugfix sweep that rode along with it:
   produce byte-identical traces.
 """
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import repro.mobility
 from repro.core.routing import BubbleRapRouting
 from repro.geo.point import Point
 from repro.geo.region import Region
@@ -249,11 +252,18 @@ class TestMobilityBatchApi:
         loop = [m.position_at(120.0) for m in control]
         assert batch == loop
 
-    def test_stationary_batch_short_circuits(self):
-        models = [StationaryModel(Point(i, i)) for i in range(4)]
-        assert StationaryModel.positions_at(models, 99.0) == [
-            Point(i, i) for i in range(4)
-        ]
+    def test_no_model_overrides_the_batch_api(self):
+        # The tick calls MobilityModel.positions_at for the whole
+        # population, so an override on a subclass would never run.
+        for info in pkgutil.iter_modules(repro.mobility.__path__):
+            importlib.import_module(f"repro.mobility.{info.name}")
+        found, pending = [], list(MobilityModel.__subclasses__())
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if cls.__module__.startswith("repro.") and "positions_at" in vars(cls):
+                found.append(cls.__qualname__)
+        assert found == []
 
 
 class TestEngineEquivalence:
@@ -277,7 +287,7 @@ class TestEngineEquivalence:
             sim.schedule_at(155.0, medium.remove_device, "d007")
             # A mid-run add: a latecomer parked 5 m from the stationary
             # d000 links, then leaves at t=400 s.  The link only drops
-            # if the tick's mobility groups were rebuilt to include it.
+            # if the tick's roster took the latecomer in.
             anchor = medium.devices["d000"].last_position
             latecomer = Device(
                 "d_late",
@@ -378,15 +388,6 @@ class TestEngineEquivalence:
             contact(50.0, "up", "d02", "d07"),
             contact(60.0, "down", "d02", "d07"),
         ]
-
-    def test_medium_tick_instrumentation_counts(self):
-        sim, medium = make_world(batched=True)
-        medium.add_device(Device("a", StationaryModel(Point(0, 0))))
-        medium.add_device(Device("b", StationaryModel(Point(30, 0))))
-        medium.start()
-        sim.run(until=35.0)
-        assert medium.tick_count == 4  # t=0 plus ticks at 10/20/30 s
-        assert medium.distance_checks >= 1
 
     def test_batched_engine_compresses_distance_checks(self):
         def run(batched):

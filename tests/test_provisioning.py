@@ -381,7 +381,8 @@ class TestStudyIntegration:
         every certificate it signs) is the same bytes.  With a disk
         cache the pooled build generates the entry and the lazy build
         reads it back."""
-        config = dict(self.BASE, num_users=3, total_posts=0, key_bits=BITS)
+        config = dict(self.BASE, num_users=3, total_posts=0, key_bits=BITS,
+                      require_encryption=False)
         eager = GainesvilleStudy(ScenarioConfig(provisioning="eager", **config))
         eager.build()
         for mode in ("pooled", "lazy"):

@@ -5,6 +5,8 @@ import io
 import pytest
 
 from repro.geo.point import Point
+from repro.geo.region import Region
+from repro.mobility import RandomWaypoint
 from repro.mobility.base import StationaryModel
 from repro.net import Device, Medium
 from repro.net.contact import Contact
@@ -27,6 +29,15 @@ class TestContactInterval:
 
     def test_duration(self):
         assert ContactInterval("a", "b", 5.0, 25.0).duration == 20.0
+
+    @pytest.mark.parametrize(
+        "start, end",
+        [(float("nan"), 5.0), (0.0, float("inf")), (float("-inf"), 5.0), (0.0, float("nan"))],
+        ids=["nan-start", "inf-end", "minus-inf-start", "nan-end"],
+    )
+    def test_non_finite_times_rejected(self, start, end):
+        with pytest.raises(ValueError, match="non-finite"):
+            ContactInterval("a", "b", start, end)
 
 
 class TestFileRoundtrip:
@@ -53,8 +64,22 @@ class TestFileRoundtrip:
         assert len(intervals) == 1
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1"):
             read_contact_trace(io.StringIO("1.0 2.0 onlythree\n"))
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("1 x a b\n", 1),
+            ("# header\n0 5 a b\nnan 5 a b\n", 3),
+            ("0 5 a b\n7 7 a b\n", 2),
+            ("3 9 a a\n", 1),
+        ],
+        ids=["bad-number", "non-finite", "empty-interval", "self-contact"],
+    )
+    def test_bad_line_is_named(self, text, lineno):
+        with pytest.raises(ValueError, match=f"line {lineno}:"):
+            read_contact_trace(io.StringIO(text))
 
     def test_sorted_by_start(self):
         text = "50 60 a b\n1 2 c d\n"
@@ -109,6 +134,101 @@ class TestTraceMedium:
         medium.start()
         sim.run(until=20.0)
         assert medium.active_links == 0
+
+    def test_removed_device_is_not_relinked(self):
+        sim = Simulator()
+        medium = TraceMedium(sim, [
+            ContactInterval("a", "b", 10.0, 20.0),
+            ContactInterval("a", "b", 30.0, 40.0),
+        ])
+        medium.add_device(self._device("a"))
+        medium.add_device(self._device("b"))
+        medium.start()
+        sim.run(until=15.0)
+        medium.remove_device("b")
+        sim.run(until=50.0)
+        assert medium.active_links == 0
+        assert [(c.start, c.end) for c in medium.contacts.completed] == [(10.0, 15.0)]
+
+    def test_overlapping_intervals_keep_the_pair_linked(self):
+        sim = Simulator()
+        medium = TraceMedium(sim, [
+            ContactInterval("a", "b", 0.0, 50.0),
+            ContactInterval("b", "a", 40.0, 100.0),
+        ])
+        medium.add_device(self._device("a"))
+        medium.add_device(self._device("b"))
+        ups, downs = [], []
+        medium.on_link_up(lambda a, b, r: ups.append(sim.now))
+        medium.on_link_down(lambda a, b, r: downs.append(sim.now))
+        medium.start()
+        sim.run(until=60.0)
+        assert medium.link_between("a", "b") is P2P_WIFI
+        sim.run(until=200.0)
+        assert ups == [0.0] and downs == [100.0]
+        assert [c.duration for c in medium.contacts.completed] == [100.0]
+
+    def test_stop_drops_links_in_sorted_pair_order(self):
+        sim = Simulator()
+        medium = TraceMedium(sim, [
+            ContactInterval("c", "d", 0.0, 100.0),
+            ContactInterval("b", "a", 5.0, 100.0),
+        ])
+        for name in "abcd":
+            medium.add_device(self._device(name))
+        downs = []
+        medium.on_link_down(lambda a, b, r: downs.append((a.device_id, b.device_id)))
+        medium.start()
+        sim.run(until=50.0)
+        medium.stop()
+        assert downs == [("a", "b"), ("c", "d")]
+        assert medium.active_links == 0
+
+    @pytest.mark.parametrize(
+        "devices, side, tick, until, contacts",
+        [(6, 800.0, 15.0, 6 * 3600.0, 89), (20, 600.0, 30.0, 2 * 3600.0 - 1.0, 503)],
+        ids=["trace-replay-example", "simultaneous-changes"],
+    )
+    def test_a_recorded_trace_replays_to_itself(self, devices, side, tick, until, contacts):
+        """Record a geometric run, then replay its trace: the replay's
+        trace text and its ordered ``contact`` events are the
+        recording's, also where several links change at one tick."""
+
+        def contact_events(sim):
+            return [
+                (e.time, e.kind, e.data["a"], e.data["b"], e.data["radio"])
+                for e in sim.trace
+                if e.category == "contact"
+            ]
+
+        def export(medium):
+            buffer = io.StringIO()
+            write_contact_trace(medium.contacts.completed, buffer)
+            return buffer.getvalue()
+
+        sim = Simulator(seed=99)
+        medium = Medium(sim, tick_interval=tick)
+        region = Region(0, 0, side, side)
+        for i in range(devices):
+            mobility = RandomWaypoint(region, sim.streams.get(f"m{i}"), pause_range=(60.0, 600.0))
+            medium.add_device(Device(f"node-{i:02d}", mobility))
+        medium.start()
+        sim.run(until=until)
+        medium.stop()
+        recorded = export(medium)
+
+        replay_sim = Simulator(seed=1)
+        replay = TraceMedium(replay_sim, read_contact_trace(io.StringIO(recorded)))
+        for i in range(devices):
+            replay.add_device(self._device(f"node-{i:02d}"))
+        replay.start()
+        replay_sim.run(until=until)
+        replay.stop()
+
+        assert recorded.count("\n") == contacts
+        assert export(replay) == recorded
+        assert len(contact_events(sim)) == 2 * contacts
+        assert contact_events(replay_sim) == contact_events(sim)
 
     def test_full_stack_over_recorded_contacts(self, ca, keypair_pool):
         """Record contacts from a geometric run, then replay them through
